@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -204,14 +204,7 @@ def _build_spec(spec: GroupSpec, limits: Limits) -> FiniteGroup:
         raise ValueError(f"unknown construction kind {spec.kind!r}")
     group = builder(spec.params, limits)
     if group.name != spec.name:
-        group = FiniteGroup(
-            degree=group.degree,
-            generators=group.generators,
-            elements=group.elements,
-            identity_index=group.identity_index,
-            cayley_table=group.cayley_table,
-            name=spec.name,
-        )
+        group = replace(group, name=spec.name)
     return group
 
 

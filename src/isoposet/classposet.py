@@ -39,23 +39,26 @@ class IsoClassNode:
 
 @dataclass(frozen=True, eq=False)
 class IsoPoset:
-    """Poset of subgroup isomorphism classes, with full order and Hasse edges."""
+    """Poset of subgroup isomorphism classes: the order plus per-class data."""
 
     parent: FiniteGroup
     nodes: tuple[IsoClassNode, ...]
-    below_masks: tuple[int, ...]
-    hasse: tuple[tuple[int, int], ...]
+    poset: Poset
     top: int
     bottom: int
 
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @property
+    def hasse(self) -> tuple[tuple[int, int], ...]:
+        return self.poset.hasse
+
     def leq(self, i: int, j: int) -> bool:
-        return bool(self.below_masks[j] >> i & 1)
+        return self.poset.leq(i, j)
 
     def to_poset(self) -> Poset:
-        return Poset(len(self.nodes), self.hasse)
+        return self.poset
 
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(node.shape for node in self.nodes)
@@ -113,12 +116,6 @@ def build_iso_poset(
             cont |= lattice.contains_masks[s]
         union_contains.append(cont)
 
-    below = [0] * k
-    for j in range(k):
-        for i in range(k):
-            if union_contains[j] & class_bits[i]:
-                below[j] |= 1 << i
-
     nodes = []
     for node_id, (members, fp, rep_idx) in enumerate(classes):
         rep = lattice.subgroups[rep_idx]
@@ -149,29 +146,12 @@ def build_iso_poset(
     bottom = 0
     if nodes[top].order != group.order or nodes[bottom].order != 1:
         raise RuntimeError("class poset lost its top or bottom node")
-    if below[top] != (1 << k) - 1 or any(not below[j] & 1 for j in range(k)):
-        raise RuntimeError("class poset order relation is inconsistent")
-
-    hasse = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not below[j] >> i & 1:
-                continue
-            implied = any(
-                m not in (i, j) and below[m] >> i & 1 and below[j] >> m & 1
-                for m in range(k)
-            )
-            if not implied:
-                hasse.append((i, j))
-
-    return IsoPoset(
-        parent=group,
-        nodes=tuple(nodes),
-        below_masks=tuple(below),
-        hasse=tuple(sorted(hasse)),
-        top=top,
-        bottom=bottom,
+    poset = Poset.from_relation(
+        k, [(i, j) for j in range(k) for i in range(k) if union_contains[j] & class_bits[i]]
     )
+    if not all(poset.leq(bottom, j) and poset.leq(j, top) for j in range(k)):
+        raise RuntimeError("class poset order relation is inconsistent")
+    return IsoPoset(parent=group, nodes=tuple(nodes), poset=poset, top=top, bottom=bottom)
 
 
 def downset(iso: IsoPoset, node_id: int) -> IsoPoset:
@@ -183,13 +163,6 @@ def downset(iso: IsoPoset, node_id: int) -> IsoPoset:
     nodes = tuple(
         replace(iso.nodes[old], node_id=new) for new, old in enumerate(keep)
     )
-    below = []
-    for old_j in keep:
-        bits = 0
-        for old_i in keep:
-            if iso.leq(old_i, old_j):
-                bits |= 1 << remap[old_i]
-        below.append(bits)
     # covers of a downset are the covers of the ambient poset within it
     hasse = tuple(
         sorted((remap[a], remap[b]) for a, b in iso.hasse if a in remap and b in remap)
@@ -197,8 +170,7 @@ def downset(iso: IsoPoset, node_id: int) -> IsoPoset:
     return IsoPoset(
         parent=iso.parent,
         nodes=nodes,
-        below_masks=tuple(below),
-        hasse=hasse,
+        poset=Poset(len(keep), hasse),
         top=remap[node_id],
         bottom=0,
     )
@@ -206,11 +178,8 @@ def downset(iso: IsoPoset, node_id: int) -> IsoPoset:
 
 def maximal_nontop_classes(iso: IsoPoset) -> list[IsoClassNode]:
     """Classes whose only upper cover is the top class."""
-    up: dict[int, set[int]] = {i: set() for i in range(len(iso.nodes))}
-    for lo, hi in iso.hasse:
-        up[lo].add(hi)
     return [
         iso.nodes[i]
         for i in range(len(iso.nodes))
-        if i != iso.top and up[i] == {iso.top}
+        if i != iso.top and iso.poset.up[i] == (iso.top,)
     ]

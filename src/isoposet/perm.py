@@ -100,11 +100,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(qi[x] for x in p.images))
 
 
-def _compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # raw-tuple fast path for inner loops; same convention as compose()
-    return tuple(b[x] for x in a)
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite permutation group with every element enumerated.

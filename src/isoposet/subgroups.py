@@ -108,6 +108,19 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     return True
 
 
+def _right_cosets(group: FiniteGroup, sub: Subgroup) -> tuple[list[int], list[int]]:
+    """Coset id of every element under right cosets H*g, and one
+    representative per coset, in order of first appearance."""
+    coset_of = [-1] * group.order
+    reps: list[int] = []
+    for i in range(group.order):
+        if coset_of[i] < 0:
+            for h in sub.members:
+                coset_of[group.mult(h, i)] = len(reps)
+            reps.append(i)
+    return coset_of, reps
+
+
 def coset_action(group: FiniteGroup, normal: Subgroup, *,
                  limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """The quotient group realized by the action on cosets of ``normal``.
@@ -119,15 +132,7 @@ def coset_action(group: FiniteGroup, normal: Subgroup, *,
         raise ValueError("subgroup does not belong to this group")
     if not is_normal(group, normal):
         raise ValueError("coset_action requires a normal subgroup")
-    n = group.order
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for i in range(n):
-        if coset_of[i] < 0:
-            c = len(reps)
-            reps.append(i)
-            for h in normal.members:
-                coset_of[group.mult(h, i)] = c
+    coset_of, reps = _right_cosets(group, normal)
     ncos = len(reps)
     gens = [
         Permutation(tuple(coset_of[group.mult(reps[c], g)] for c in range(ncos)))
@@ -165,9 +170,6 @@ class SubgroupLattice:
     def contains(self, i: int, j: int) -> bool:
         """True iff subgroups[j] is a subset of subgroups[i]."""
         return bool(self.contains_masks[i] >> j & 1)
-
-    def indices_of_order(self, m: int) -> list[int]:
-        return [i for i, s in enumerate(self.subgroups) if s.order == m]
 
 
 def _finish_lattice(group: FiniteGroup, raw: list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -328,15 +330,7 @@ def is_maximal(group: FiniteGroup, sub: Subgroup) -> bool:
         raise ValueError("subgroup does not belong to this group")
     if sub.order == group.order:
         raise ValueError("maximality is undefined for the whole group")
-    n = group.order
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for i in range(n):
-        if coset_of[i] < 0:
-            reps.append(i)
-            c = len(reps) - 1
-            for h in sub.members:
-                coset_of[group.mult(h, i)] = c
+    coset_of, reps = _right_cosets(group, sub)
     ncos = len(reps)
     hacts = [
         [coset_of[group.mult(reps[c], g)] for c in range(ncos)]

@@ -12,6 +12,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .catalog import alternating, catalog_for_order, dihedral, direct_product, group_from_name, psl2, symmetric
@@ -134,17 +135,14 @@ def _max_class_summary(poset: IsoPoset) -> list[dict]:
 def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
                  cache_dir: str | os.PathLike | None = None) -> list[ClaimResult]:
     group = psl2(5, limits=limits)
-    state: dict = {}
 
+    @cache
     def lattice():
-        if "lattice" not in state:
-            state["lattice"] = all_subgroups(group, limits=limits, cache_dir=cache_dir)
-        return state["lattice"]
+        return all_subgroups(group, limits=limits, cache_dir=cache_dir)
 
+    @cache
     def poset():
-        if "poset" not in state:
-            state["poset"] = build_iso_poset(group, lattice=lattice(), limits=limits)
-        return state["poset"]
+        return build_iso_poset(group, lattice=lattice(), limits=limits)
 
     def claim_order_shape():
         shape = order_shape(group.order)
@@ -234,17 +232,14 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
                  cache_dir: str | os.PathLike | None = None) -> list[ClaimResult]:
     group = psl2(7, limits=limits)
     trio = ["S5", "A5xZ2", "SL(2,5)"]
-    state: dict = {}
 
+    @cache
     def lattice():
-        if "lattice" not in state:
-            state["lattice"] = all_subgroups(group, limits=limits, cache_dir=cache_dir)
-        return state["lattice"]
+        return all_subgroups(group, limits=limits, cache_dir=cache_dir)
 
+    @cache
     def poset():
-        if "poset" not in state:
-            state["poset"] = build_iso_poset(group, lattice=lattice(), limits=limits)
-        return state["poset"]
+        return build_iso_poset(group, lattice=lattice(), limits=limits)
 
     def claim_order_shape():
         shape = order_shape(group.order)
@@ -382,23 +377,18 @@ def verify_lemma(group_a: FiniteGroup, group_b: FiniteGroup, *,
                  limits: Limits = DEFAULT_LIMITS,
                  cache_dir: str | os.PathLike | None = None) -> list[ClaimResult]:
     """Check the order-isomorphism consequences on a concrete pair of groups."""
-    state: dict = {}
 
+    @cache
     def posets():
-        if "pair" not in state:
-            state["pair"] = (
-                build_iso_poset(group_a, limits=limits, cache_dir=cache_dir),
-                build_iso_poset(group_b, limits=limits, cache_dir=cache_dir),
-            )
-        return state["pair"]
+        return (
+            build_iso_poset(group_a, limits=limits, cache_dir=cache_dir),
+            build_iso_poset(group_b, limits=limits, cache_dir=cache_dir),
+        )
 
+    @cache
     def mapping():
-        if "mapping" not in state:
-            pa, pb = posets()
-            state["mapping"] = find_poset_isomorphism(
-                pa.to_poset(), pb.to_poset(), limits=limits
-            )
-        return state["mapping"]
+        pa, pb = posets()
+        return find_poset_isomorphism(pa.to_poset(), pb.to_poset(), limits=limits)
 
     def claim_hypothesis():
         pa, pb = posets()

@@ -119,6 +119,28 @@ def test_poset_axioms_and_divisibility(build):
         assert iso.nodes[hi].order % iso.nodes[lo].order == 0
     for node in iso.nodes:
         assert node.shape == order_shape(node.order)
+    # brute force over the lattice: class i <= class j iff some member of j
+    # contains some member of i
+    subs = all_subgroups(group).subgroups
+    k = len(iso)
+    rel = {
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if any(
+            subs[b].contains(subs[a])
+            for a in iso.nodes[i].members
+            for b in iso.nodes[j].members
+        )
+    }
+    assert all(iso.leq(i, j) == ((i, j) in rel) for i in range(k) for j in range(k))
+    covers = {
+        (i, j)
+        for i, j in rel
+        if i != j and not any((i, m) in rel and (m, j) in rel for m in set(range(k)) - {i, j})
+    }
+    assert set(iso.hasse) == covers
+    assert iso.to_poset() is iso.to_poset()
 
 
 @pytest.mark.parametrize("build", [
