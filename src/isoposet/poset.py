@@ -3,16 +3,16 @@
 Posets are stored as Hasse diagrams (cover relations); for finite posets
 cover-digraph isomorphism and order isomorphism coincide, so all searches
 run on the reduction.  Refinement is a pruning heuristic only; completeness
-always comes from the backtracking below it.
+always comes from the canonical search below it, which decides isomorphism
+as well as the digest.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
@@ -154,114 +154,114 @@ class Poset:
     def leq(self, a: int, b: int) -> bool:
         return a == b or bool(self.above[a] >> b & 1)
 
+    @cached_property
+    def _canonical_labeling(self) -> tuple[tuple, tuple[int, ...]]:
+        """The canonical form and the node placement that reaches it.
 
-def _refine_rounds(posets: Sequence[Poset],
-                   labels: Sequence[Sequence[Hashable] | None]) -> list[tuple[int, ...]]:
-    """Joint iterated refinement; equal colors mean equal signatures across posets."""
-    keys = []
-    for p, lab in zip(posets, labels):
-        base = []
-        for x in range(p.n):
-            extra = (lab[x],) if lab is not None else ()
-            base.append(extra + (p.heights[x], p.depths[x], len(p.up[x]), len(p.down[x])))
-        keys.append(base)
-    colors = _rank(keys)
-    while True:
-        new_keys = []
-        for p, col in zip(posets, colors):
-            new_keys.append([
-                (
-                    col[x],
-                    tuple(sorted(col[y] for y in p.up[x])),
-                    tuple(sorted(col[y] for y in p.down[x])),
-                )
-                for x in range(p.n)
-            ])
-        new_colors = _rank(new_keys)
-        if new_colors == colors:
-            return [tuple(c) for c in colors]
-        colors = new_colors
+        Nodes are placed one position at a time; each position records
+        (refinement color, cover bits down to the placed prefix, cover bits up),
+        and the lexicographically least full placement wins.  Equal forms hold
+        exactly for isomorphic posets.  The search keeps an explicit stack, one
+        iterator of candidate nodes per position, so no recursion limit bounds n.
+        """
+        n = self.n
+        if n == 0:
+            return (0, ()), ()
+        colors = refine(self)
+        cover = self.cover_set
+        placed: list[int] = []
+        unplaced = set(range(n))
+        form: list[tuple[int, int, int]] = []
+        best: tuple | None = None
+        best_placed: tuple[int, ...] = ()
+
+        def signature(c: int) -> tuple[int, int, int]:
+            lo = hi = 0
+            for pos, x in enumerate(placed):
+                if (x, c) in cover:
+                    lo |= 1 << pos
+                if (c, x) in cover:
+                    hi |= 1 << pos
+            return (colors[c], lo, hi)
+
+        def level() -> Iterator[tuple[tuple[int, int, int], int]]:
+            # the nodes of least signature may take the next position,
+            # unless that signature already makes the form exceed the best
+            sigs = {c: signature(c) for c in unplaced}
+            least = min(sigs.values())
+            if best is not None and tuple(form) + (least,) > best[: len(form) + 1]:
+                return iter(())
+            ties = sorted(c for c, s in sigs.items() if s == least)
+            return iter([(least, c) for c in ties])
+
+        stack = [level()]
+        while stack:
+            if len(placed) == len(stack):
+                unplaced.add(placed.pop())
+                form.pop()
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                continue
+            sig, c = step
+            placed.append(c)
+            unplaced.discard(c)
+            form.append(sig)
+            if len(placed) < n:
+                stack.append(level())
+            elif best is None or tuple(form) < best:
+                best, best_placed = tuple(form), tuple(placed)
+        return (n, best), best_placed
 
 
-def _rank(keys: list[list]) -> list[list[int]]:
-    universe = sorted({k for ks in keys for k in ks})
-    rank = {k: i for i, k in enumerate(universe)}
-    return [[rank[k] for k in ks] for ks in keys]
+def _rank(keys: list) -> list[int]:
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
 
 
-def refine(poset: Poset, labels: Sequence[Hashable] | None = None) -> tuple[int, ...]:
+def refine(poset: Poset) -> tuple[int, ...]:
     """Stable node coloring; isomorphic posets get identical color multisets."""
-    return _refine_rounds([poset], [labels])[0]
+    colors = _rank([
+        (poset.heights[x], poset.depths[x], len(poset.up[x]), len(poset.down[x]))
+        for x in range(poset.n)
+    ])
+    while True:
+        new_colors = _rank([
+            (
+                colors[x],
+                tuple(sorted(colors[y] for y in poset.up[x])),
+                tuple(sorted(colors[y] for y in poset.down[x])),
+            )
+            for x in range(poset.n)
+        ])
+        if new_colors == colors:
+            return tuple(colors)
+        colors = new_colors
 
 
 def find_poset_isomorphism(
     p: Poset,
     q: Poset,
     *,
-    p_labels: Sequence[Hashable] | None = None,
-    q_labels: Sequence[Hashable] | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[int, ...] | None:
     """An order isomorphism p -> q as a node mapping, or None.
 
-    With labels given on both sides, only label-preserving mappings count
-    (a strictly stronger test than plain order isomorphism).
+    The posets are isomorphic exactly when their canonical forms agree, and
+    then the k-th node of p's canonical placement maps to the k-th of q's.
     """
-    if (p_labels is None) != (q_labels is None):
-        raise ValueError("labels must be supplied for both posets or neither")
     if max(p.n, q.n) > limits.poset_cap:
         raise ResourceLimitError(
             f"poset size {max(p.n, q.n)} exceeds poset cap {limits.poset_cap}"
         )
     if p.n != q.n or len(p.hasse) != len(q.hasse):
         return None
-    colors_p, colors_q = _refine_rounds([p, q], [p_labels, q_labels])
-    if sorted(colors_p) != sorted(colors_q):
+    (form_p, placed_p), (form_q, placed_q) = p._canonical_labeling, q._canonical_labeling
+    if form_p != form_q:
         return None
-    by_color: dict[int, list[int]] = {}
-    for y in range(q.n):
-        by_color.setdefault(colors_q[y], []).append(y)
-    candidates = {x: by_color[colors_p[x]] for x in range(p.n)}
-    order = sorted(range(p.n), key=lambda x: (len(candidates[x]), x))
-
-    mapping = [-1] * p.n
-    used = [False] * q.n
-    placed: list[int] = []
-
-    def consistent(x: int, y: int) -> bool:
-        for x2 in placed:
-            y2 = mapping[x2]
-            if ((x, x2) in p.cover_set) != ((y, y2) in q.cover_set):
-                return False
-            if ((x2, x) in p.cover_set) != ((y2, y) in q.cover_set):
-                return False
-        return True
-
-    def backtrack(k: int) -> bool:
-        if k == p.n:
-            return True
-        x = order[k]
-        for y in candidates[x]:
-            if not used[y] and consistent(x, y):
-                mapping[x] = y
-                used[y] = True
-                placed.append(x)
-                if backtrack(k + 1):
-                    return True
-                placed.pop()
-                used[y] = False
-                mapping[x] = -1
-        return False
-
-    bound = max(1000, 4 * p.n + 100)
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, bound))
-    try:
-        ok = backtrack(0)
-    finally:
-        sys.setrecursionlimit(old)
-    if not ok:
-        return None
+    mapping = [0] * p.n
+    for x, y in zip(placed_p, placed_q):
+        mapping[x] = y
     # re-verify the witness edge-by-edge in both directions
     image = {(mapping[a], mapping[b]) for a, b in p.hasse}
     if image != set(q.hasse):
@@ -273,75 +273,18 @@ def are_posets_isomorphic(
     p: Poset,
     q: Poset,
     *,
-    p_labels: Sequence[Hashable] | None = None,
-    q_labels: Sequence[Hashable] | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> bool:
-    return find_poset_isomorphism(
-        p, q, p_labels=p_labels, q_labels=q_labels, limits=limits
-    ) is not None
+    return find_poset_isomorphism(p, q, limits=limits) is not None
 
 
 def canonical_form(poset: Poset, *, limits: Limits = DEFAULT_LIMITS) -> tuple:
-    """A relabeling-invariant form that determines the poset up to isomorphism.
-
-    Nodes are placed one position at a time; each position records
-    (refinement color, cover bits down to the placed prefix, cover bits up),
-    and the lexicographically least full placement wins.  Equal forms hold
-    exactly for isomorphic posets.
-    """
+    """A relabeling-invariant form that determines the poset up to isomorphism."""
     if poset.n > limits.poset_cap:
         raise ResourceLimitError(
             f"poset size {poset.n} exceeds poset cap {limits.poset_cap}"
         )
-    n = poset.n
-    if n == 0:
-        return (0, ())
-    colors = refine(poset)
-    cover = poset.cover_set
-    placed: list[int] = []
-    unplaced = set(range(n))
-    form: list[tuple[int, int, int]] = []
-    best: tuple | None = None
-
-    def signature(c: int) -> tuple[int, int, int]:
-        lo = hi = 0
-        for pos, x in enumerate(placed):
-            if (x, c) in cover:
-                lo |= 1 << pos
-            if (c, x) in cover:
-                hi |= 1 << pos
-        return (colors[c], lo, hi)
-
-    def rec() -> None:
-        nonlocal best
-        k = len(placed)
-        if k == n:
-            cand = tuple(form)
-            if best is None or cand < best:
-                best = cand
-            return
-        sigs = {c: signature(c) for c in unplaced}
-        least = min(sigs.values())
-        if best is not None and tuple(form) + (least,) > best[: k + 1]:
-            return
-        for c in sorted(c for c, s in sigs.items() if s == least):
-            placed.append(c)
-            unplaced.discard(c)
-            form.append(least)
-            rec()
-            placed.pop()
-            unplaced.add(c)
-            form.pop()
-
-    bound = max(1000, 4 * n + 100)
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, bound))
-    try:
-        rec()
-    finally:
-        sys.setrecursionlimit(old)
-    return (n, best)
+    return poset._canonical_labeling[0]
 
 
 def canonical_hash(poset: Poset, *, limits: Limits = DEFAULT_LIMITS) -> str:

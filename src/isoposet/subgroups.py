@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,14 +19,6 @@ from typing import Iterable
 from .invariants import Fingerprint, derived_subgroup_indices, fingerprint
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup, Permutation, closure, element_order
-
-# Orders m <= 100 for which every group of order m is cyclic.  For these,
-# a subgroup of order m exists iff an element of order m exists, which lets
-# has_subgroup_of_order answer without enumerating anything.
-CYCLIC_ONLY_ORDERS = frozenset({
-    1, 2, 3, 5, 7, 11, 13, 15, 17, 19, 23, 29, 31, 33, 35, 37, 41, 43, 47,
-    51, 53, 59, 61, 65, 67, 69, 71, 73, 77, 79, 83, 85, 87, 89, 91, 95, 97,
-})
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,15 +350,22 @@ def is_maximal(group: FiniteGroup, sub: Subgroup) -> bool:
     return True
 
 
+def _every_group_cyclic(n: int) -> bool:
+    """Szele's criterion: every group of order n is cyclic iff gcd(n, phi(n)) = 1."""
+    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    return math.gcd(n, phi) == 1
+
+
 def has_subgroup_of_order(group: FiniteGroup, m: int, *,
                           limits: Limits = DEFAULT_LIMITS,
                           lattice: SubgroupLattice | None = None,
                           cache_dir: str | os.PathLike | None = None) -> bool:
     """Whether the group has a subgroup of order m.
 
-    Uses the lattice when available or enumerable; for orders in the
-    hardcoded cyclic-only table it falls back to an element-order scan,
-    which stays exact above the enumeration cap.
+    Uses the lattice when available or enumerable; for orders at which every
+    group is cyclic it falls back to an element-order scan, because then a
+    subgroup of order m exists iff an element of order m does.  That stays
+    exact above the enumeration cap.
     """
     if m < 1:
         raise ValueError(f"subgroup order must be positive, got {m}")
@@ -377,7 +377,7 @@ def has_subgroup_of_order(group: FiniteGroup, m: int, *,
         if lattice.parent is not group:
             raise ValueError("lattice does not belong to this group")
         return any(s.order == m for s in lattice.subgroups)
-    if m in CYCLIC_ONLY_ORDERS:
+    if _every_group_cyclic(m):
         return any(element_order(group, i) == m for i in range(group.order))
     if group.order <= limits.enum_cap:
         lattice = all_subgroups(group, limits=limits, cache_dir=cache_dir)
@@ -424,6 +424,7 @@ def is_solvable(group: FiniteGroup) -> bool:
 
 
 def composition_factors(group: FiniteGroup, *, limits: Limits = DEFAULT_LIMITS,
+                        lattice: SubgroupLattice | None = None,
                         cache_dir: str | os.PathLike | None = None,
                         _policy: str = "first") -> tuple[Fingerprint, ...]:
     """Fingerprints of the composition factors, as a sorted tuple.
@@ -432,10 +433,14 @@ def composition_factors(group: FiniteGroup, *, limits: Limits = DEFAULT_LIMITS,
     the subgroup and the quotient.  Ties between maximal proper normal
     subgroups break by subgroup index; the resulting multiset is
     choice-independent, which the test suite checks rather than assumes.
+    A given lattice serves the top level; the recursion enumerates its own.
     """
+    if lattice is not None and lattice.parent is not group:
+        raise ValueError("lattice does not belong to this group")
     if group.order == 1:
         return ()
-    lattice = all_subgroups(group, limits=limits, cache_dir=cache_dir)
+    if lattice is None:
+        lattice = all_subgroups(group, limits=limits, cache_dir=cache_dir)
     proper_normals = [
         i for i, s in enumerate(lattice.subgroups)
         if not s.is_full and is_normal(group, s)

@@ -241,6 +241,11 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
     def poset():
         return build_iso_poset(group, lattice=lattice(), limits=limits)
 
+    @cache
+    def candidate(name):
+        built = group_from_name(name, limits=limits)
+        return built, all_subgroups(built, limits=limits, cache_dir=cache_dir)
+
     def claim_order_shape():
         shape = order_shape(group.order)
         return _decide(shape == (3, 1, 1), {"order": group.order, "shape": list(shape)})
@@ -263,8 +268,7 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
         evidence = {}
         ok = True
         for name in trio:
-            candidate = group_from_name(name, limits=limits)
-            lat = all_subgroups(candidate, limits=limits, cache_dir=cache_dir)
+            lat = candidate(name)[1]
             maximal_orders = sorted(
                 {s.order for i, s in enumerate(lat.subgroups) if lat.maximal_flags[i]}
             )
@@ -276,7 +280,7 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
             if 15 in maximal_orders:
                 ok = False
         # stronger for SL(2,5): no subgroup of order 15 at all, by element orders
-        sl = group_from_name("SL(2,5)", limits=limits)
+        sl = candidate("SL(2,5)")[0]
         evidence["SL(2,5)"]["element_order_15"] = any(
             element_order(sl, i) == 15 for i in range(sl.order)
         )
@@ -287,8 +291,9 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
         evidence = {}
         ok = True
         for name in trio:
-            candidate = group_from_name(name, limits=limits)
-            factors = composition_factors(candidate, limits=limits, cache_dir=cache_dir)
+            built, lat = candidate(name)
+            factors = composition_factors(built, limits=limits, lattice=lat,
+                                          cache_dir=cache_dir)
             evidence[name] = {"factor_orders": sorted(fp.order for fp in factors)}
             if a5_fp not in factors:
                 ok = False

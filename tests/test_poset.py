@@ -113,14 +113,17 @@ def test_iso_on_relabeled_poset():
     assert {(inverse[a], inverse[b]) for a, b in q.hasse} == set(DIAMOND.hasse)
 
 
-def test_label_mode_restricts_matches():
-    labels_p = ["bot", "mid", "mid", "top"]
-    assert are_posets_isomorphic(DIAMOND, DIAMOND, p_labels=labels_p, q_labels=labels_p)
-    labels_q = ["bot", "mid", "other", "top"]
-    assert not are_posets_isomorphic(DIAMOND, DIAMOND,
-                                     p_labels=labels_p, q_labels=labels_q)
-    with pytest.raises(ValueError):
-        are_posets_isomorphic(DIAMOND, DIAMOND, p_labels=labels_p)
+def test_searches_leave_recursion_limit_alone(monkeypatch):
+    # the searches must not mutate interpreter state, which is shared by threads
+    def refuse(limit):
+        raise AssertionError(f"sys.setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    for p in (CHAIN3, ANTICHAIN3, DIAMOND, random_poset(7)):
+        fresh = Poset(p.n, p.hasse)
+        copy = relabeled(p, list(reversed(range(p.n))))
+        assert canonical_hash(fresh) == canonical_hash(copy)
+        assert find_poset_isomorphism(fresh, copy) is not None
 
 
 def test_poset_cap():
@@ -165,7 +168,10 @@ def test_canonical_hash_is_relabeling_invariant(seed):
     rng = random.Random(seed ^ 0xC0FFEE)
     perm = list(range(p.n))
     rng.shuffle(perm)
-    assert canonical_hash(p) == canonical_hash(relabeled(p, perm))
+    q = relabeled(p, perm)
+    assert canonical_hash(p) == canonical_hash(q)
+    mapping = find_poset_isomorphism(p, q)
+    assert {(mapping[a], mapping[b]) for a, b in p.hasse} == set(q.hasse)
 
 
 def test_backtracking_separates_refinement_equivalent_crowns():

@@ -33,6 +33,7 @@ from isoposet import (
     symmetric,
 )
 from isoposet.catalog import catalog_specs
+from isoposet.subgroups import _every_group_cyclic
 
 
 def test_subgroup_counts_cyclic6():
@@ -137,6 +138,19 @@ def test_has_subgroup_of_order_shortcut_above_cap(a5):
     assert not has_subgroup_of_order(big, 7)
     with pytest.raises(ResourceLimitError, match="cap"):
         has_subgroup_of_order(big, 8)
+    # order 505 is above the cap too, and 101 lies beyond the old table's range
+    assert has_subgroup_of_order(direct_product(cyclic(101), cyclic(5)), 101)
+
+
+def test_every_group_cyclic_matches_table():
+    # the hand-kept table the criterion replaced: orders m <= 100 at which
+    # every group of order m is cyclic
+    table = {
+        1, 2, 3, 5, 7, 11, 13, 15, 17, 19, 23, 29, 31, 33, 35, 37, 41, 43, 47,
+        51, 53, 59, 61, 65, 67, 69, 71, 73, 77, 79, 83, 85, 87, 89, 91, 95, 97,
+    }
+    assert len(table) == 37
+    assert {n for n in range(1, 101) if _every_group_cyclic(n)} == table
 
 
 def test_all_subgroups_cap_error(a5):
@@ -179,10 +193,14 @@ def test_solvability():
     assert not is_solvable(psl2(5))
 
 
-def test_composition_factors_sl2_5(sl25, cache_dir):
+def test_composition_factors_sl2_5(sl25, a5_lattice, cache_dir):
     factors = composition_factors(sl25, cache_dir=cache_dir)
     expected = tuple(sorted([fingerprint(cyclic(2)), fingerprint(alternating(5))]))
     assert factors == expected
+    lattice = all_subgroups(sl25, cache_dir=cache_dir)
+    assert composition_factors(sl25, lattice=lattice, cache_dir=cache_dir) == expected
+    with pytest.raises(ValueError, match="belong"):
+        composition_factors(sl25, lattice=a5_lattice)
 
 
 def test_composition_factors_cyclic12():

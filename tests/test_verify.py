@@ -1,7 +1,8 @@
 import dataclasses
 import json
+from collections import Counter
 
-from isoposet import build_iso_poset, cyclic, group_from_name
+from isoposet import build_iso_poset, cyclic, group_from_name, subgroups
 from isoposet.cli import main
 from isoposet.export import poset_dict, poset_dot, report_dict, to_json
 from isoposet.verify import (
@@ -40,6 +41,23 @@ def test_verify_psl27_statuses(cache_dir):
     summary = by_id["psl27.maximal-classes"].evidence["classes"]
     assert [(c["order"], c["copies"]) for c in summary] == [(21, 8), (24, 14)]
     assert by_id["psl27.no-maximal-order-15"].evidence["SL(2,5)"]["has_order_15_subgroup"] is False
+
+
+def test_verify_psl27_enumerates_each_group_once(monkeypatch):
+    # with no cache dir, the trio's lattices are shared between the
+    # no-maximal-order-15 and composition-factors claims, not rebuilt
+    monkeypatch.delenv("ISOPOSET_CACHE_DIR", raising=False)
+    calls = Counter()
+    enumerate_subgroups = subgroups._enumerate_subgroups
+
+    def counting(group):
+        calls[group.name] += 1
+        return enumerate_subgroups(group)
+
+    monkeypatch.setattr(subgroups, "_enumerate_subgroups", counting)
+    verify_psl27()
+    for name in ("S5", "A5xZ2", "SL(2,5)"):
+        assert calls[name] == 1, (name, calls)
 
 
 def test_verify_remark(cache_dir):
