@@ -233,6 +233,13 @@ def closure(
     Discovery order is breadth-first from the identity with generators
     applied in input order, so two runs with identical inputs produce
     identical element orderings.
+
+    Within ``cayley_cap`` the Cayley table is built from rows already
+    built: each element c other than the identity was first reached as
+    c = a*g from an earlier element a and a generator g, so
+    c*x = a*(g*x) and row c is row a read through g's left-multiplication
+    column.  Only those columns are found by hashing products, n*|gens|
+    lookups instead of n*n.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -243,16 +250,19 @@ def closure(
     identity = tuple(range(degree))
     index: dict[tuple[int, ...], int] = {identity: 0}
     elems: list[tuple[int, ...]] = [identity]
-    frontier = [identity]
+    parents: list[tuple[int, int]] = []  # (a, k) for elems[1:]: a * generators[k]
+    frontier = [0]
     while frontier:
         nxt = []
-        for a in frontier:
-            for b in gen_images:
+        for ai in frontier:
+            a = elems[ai]
+            for k, b in enumerate(gen_images):
                 c = tuple(b[x] for x in a)
                 if c not in index:
                     index[c] = len(elems)
+                    nxt.append(len(elems))
                     elems.append(c)
-                    nxt.append(c)
+                    parents.append((ai, k))
         if len(elems) > limits.element_cap:
             raise ResourceLimitError(
                 f"closure reached more than {limits.element_cap} elements "
@@ -261,9 +271,13 @@ def closure(
         frontier = nxt
     table = None
     if len(elems) <= limits.cayley_cap:
-        table = tuple(
-            tuple(index[tuple(b[x] for x in a)] for b in elems) for a in elems
-        )
+        # left[k][j] is the index of generators[k] * elems[j]
+        left = [[index[tuple(e[y] for y in b)] for e in elems] for b in gen_images]
+        rows = [tuple(range(len(elems)))]
+        for ai, k in parents:
+            row = rows[ai]
+            rows.append(tuple([row[y] for y in left[k]]))
+        table = tuple(rows)
     return FiniteGroup(
         degree=degree,
         generators=tuple(generators),

@@ -1,9 +1,10 @@
 """Exhaustive subgroup enumeration and structural queries.
 
 Subgroups are index sets into the parent group's element table.  Complete
-enumeration seeds with every cyclic subgroup and closes under joins with
-cyclic subgroups until no new subgroup appears; that is complete because
-every subgroup is a join of its own cyclic subgroups.
+enumeration is cyclic extension up to conjugacy (Neubueser, 1960): it seeds
+with every cyclic subgroup, keeps one representative per conjugacy class,
+joins each representative with every cyclic subgroup, and adds each new
+subgroup together with its orbit under conjugation by the generators.
 """
 
 from __future__ import annotations
@@ -189,10 +190,18 @@ def _finish_lattice(group: FiniteGroup, raw: list[tuple[tuple[int, ...], tuple[i
 
 
 def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # One representative per conjugacy class is joined with every cyclic
+    # subgroup; each new subgroup enters with its whole conjugation orbit.
+    # Complete, by induction on K = <C1..Ck>: if <C1..Ci> = R^g for a
+    # representative R, then <C1..Ci+1> = <R, Ci+1^(g^-1)>^g, a join tried.
     n = group.order
     ident = group.identity_index
     half = n // 2
     full_mask = (1 << n) - 1
+    conj_maps = [
+        [group.conjugate_index(i, g) for i in range(n)]
+        for g in dict.fromkeys(group.generator_indices())
+    ]
 
     cyclic_by_mask: dict[int, int] = {}
     for i in range(n):
@@ -210,11 +219,33 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[tuple[int, ...], tupl
     known: dict[int, tuple[int, ...]] = {1 << ident: ()}
     for mask, gen in cyclics:
         known.setdefault(mask, (gen,))
-    queue = list(known)
-    qi = 0
-    while qi < len(queue):
-        hmask = queue[qi]
-        qi += 1
+    reps: list[int] = []
+    seen: set[int] = set()
+
+    def members_of(mask: int) -> list[int]:
+        return [i for i in range(n) if mask >> i & 1]
+
+    def add_class(mask: int) -> None:
+        """Record the conjugation orbit of ``mask``; new members get greedy gens."""
+        reps.append(mask)
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            members = members_of(stack.pop())
+            for cmap in conj_maps:
+                image = 0
+                for i in members:
+                    image |= 1 << cmap[i]
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+                    if image not in known:
+                        known[image] = group.greedy_generator_indices(members_of(image))
+
+    for mask in list(known):
+        if mask not in seen:
+            add_class(mask)
+    for hmask in reps:  # grows as joins find new classes
         if hmask == full_mask:
             continue
         hgens = known[hmask]
@@ -224,25 +255,17 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[tuple[int, ...], tupl
             result = group.closure_indices(list(hgens) + [cgen], stop_above=half)
             if result is None:
                 jmask = full_mask
-                jgens = group.generator_indices()
             else:
                 jmask = 0
                 for m in result:
                     jmask |= 1 << m
-                if jmask in known:
-                    continue
-                jgens = group.greedy_generator_indices(result)
             if jmask not in known:
-                known[jmask] = jgens
-                queue.append(jmask)
+                known[jmask] = (group.generator_indices() if result is None
+                                else group.greedy_generator_indices(result))
+                add_class(jmask)
     if full_mask not in known:
         known[full_mask] = group.generator_indices()
-        queue.append(full_mask)
-    out = []
-    for mask, gens in known.items():
-        members = tuple(i for i in range(n) if mask >> i & 1)
-        out.append((members, tuple(gens)))
-    return out
+    return [(tuple(members_of(mask)), tuple(gens)) for mask, gens in known.items()]
 
 
 def _cache_path(group: FiniteGroup, cache_dir: str | os.PathLike) -> Path:
@@ -289,7 +312,15 @@ def _save_cached(group: FiniteGroup, lattice: SubgroupLattice, path: Path) -> No
         "gens": [list(s.gens) for s in lattice.subgroups],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True), "utf-8")
+    # write a private temp file beside the target, then rename it into
+    # place: a reader sees the old file or the new one, never a torn one
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True), "utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def all_subgroups(group: FiniteGroup, *, limits: Limits = DEFAULT_LIMITS,

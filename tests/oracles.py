@@ -2,7 +2,8 @@
 
 These stay deliberately independent of the library's search code: the group
 oracle enumerates order-respecting bijections outright, the poset oracle
-enumerates all node bijections.
+enumerates all node bijections, the subgroup oracle closes every small
+element subset.
 """
 
 from __future__ import annotations
@@ -64,3 +65,30 @@ def oracle_poset_isomorphic(p: Poset, q: Poset) -> bool:
 
 def relabeled(p: Poset, perm: list[int]) -> Poset:
     return Poset(p.n, tuple(sorted((perm[a], perm[b]) for a, b in p.hasse)))
+
+
+def oracle_closure(group: FiniteGroup, seed) -> frozenset[int]:
+    """Element indices of <seed>, by multiplying until nothing new appears."""
+    members = {group.identity_index}
+    frontier = list(members)
+    while frontier:
+        new = {group.mult(x, s) for x in frontier for s in seed} - members
+        members |= new
+        frontier = list(new)
+    return frozenset(members)
+
+
+def oracle_subgroups(group: FiniteGroup) -> set[frozenset[int]]:
+    """{<S> : S a subset of G with |S| <= floor(log2 |G|)}.
+
+    That is every subgroup: each generator outside the subgroup generated
+    so far at least doubles its order, so a subgroup of order m has a
+    generating set of at most log2 m elements.  Only for orders up to ~24.
+    """
+    rest = [i for i in range(group.order) if i != group.identity_index]
+    size = group.order.bit_length() - 1
+    return {
+        oracle_closure(group, seed)
+        for k in range(size + 1)
+        for seed in itertools.combinations(rest, k)
+    }

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoposet import (
+    DEFAULT_LIMITS,
     Limits,
     Permutation,
     ResourceLimitError,
@@ -16,6 +17,7 @@ from isoposet import (
     element_order,
     symmetric,
 )
+from isoposet.catalog import catalog_specs
 
 
 def perm(*cycles, degree):
@@ -112,6 +114,28 @@ def test_cayley_table_cap():
     assert [with_table.mult(i, j) for i in range(3) for j in range(3)] == [
         g.mult(i, j) for i in range(3) for j in range(3)
     ]
+
+
+def _assert_table_matches_compose(group):
+    els = group.elements
+    assert group.cayley_table is not None
+    for i, row in enumerate(group.cayley_table):
+        assert list(row) == [group.index_of(compose(els[i], b)) for b in els], (group.name, i)
+
+
+def test_cayley_table_matches_compose_on_catalog():
+    for spec in catalog_specs(DEFAULT_LIMITS.cayley_cap):
+        _assert_table_matches_compose(spec.build())
+
+
+@pytest.mark.parametrize("gens", [
+    [],
+    [Permutation.identity(4)],
+    [Permutation.identity(4), perm((0, 1, 2, 3), degree=4), Permutation.identity(4)],
+    [perm((0, 1), degree=4), perm((0, 1), degree=4), perm((1, 2, 3), degree=4)],
+], ids=["no-generators", "identity-only", "identity-generator", "repeated-generator"])
+def test_cayley_table_matches_compose_on_odd_inputs(gens):
+    _assert_table_matches_compose(closure(4, gens))
 
 
 def test_element_order_identity():

@@ -1,8 +1,11 @@
+import os
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from isoposet import (
+    FiniteGroup,
     Limits,
     Permutation,
     ResourceLimitError,
@@ -30,10 +33,13 @@ from isoposet import (
     psl2,
     subgroup_from_members,
     subgroup_generated_by,
+    subgroups,
     symmetric,
 )
 from isoposet.catalog import catalog_specs
 from isoposet.subgroups import _every_group_cyclic
+
+from oracles import oracle_closure, oracle_subgroups
 
 
 def test_subgroup_counts_cyclic6():
@@ -51,6 +57,54 @@ def test_subgroup_counts_a5(a5_lattice):
     assert len(a5_lattice) == 59
     sizes = Counter(s.order for s in a5_lattice.subgroups)
     assert sizes == Counter({1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1})
+
+
+def _z2_power(k):
+    group = cyclic(2)
+    for _ in range(k - 1):
+        group = direct_product(group, cyclic(2))
+    return group
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symmetric(4),
+    lambda: alternating(4),
+    lambda: dihedral(12),
+    lambda: dicyclic(2),
+    lambda: dicyclic(3),
+    lambda: _z2_power(3),
+    lambda: _z2_power(4),
+], ids=["S4", "A4", "D12", "Q8", "Dic3", "Z2^3", "Z2^4"])
+def test_enumeration_matches_bruteforce_oracle(build):
+    group = build()
+    lattice = all_subgroups(group)
+    found = [frozenset(s.members) for s in lattice.subgroups]
+    assert len(set(found)) == len(found)
+    assert set(found) == oracle_subgroups(group)
+
+
+def test_subgroup_gens_generate_members():
+    for spec in catalog_specs(168):
+        group = spec.build()
+        for sub in all_subgroups(group).subgroups:
+            assert oracle_closure(group, sub.gens) == frozenset(sub.members), spec.name
+
+
+def test_enumeration_work_count_psl27(monkeypatch):
+    # a deterministic count, so it guards the cost without a timing bound:
+    # one join per conjugacy-class representative and cyclic subgroup
+    calls = 0
+    closure_indices = FiniteGroup.closure_indices
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return closure_indices(self, *args, **kwargs)
+
+    group = psl2(7)
+    monkeypatch.setattr(FiniteGroup, "closure_indices", counting)
+    assert len(subgroups._enumerate_subgroups(group)) == 179
+    assert calls <= 2000
 
 
 def test_lattice_contains_trivial_and_full(a5_lattice):
@@ -341,3 +395,37 @@ def test_lattice_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("ISOPOSET_CACHE_DIR", str(tmp_path))
     all_subgroups(symmetric(3))
     assert list(tmp_path.glob("lattice-*.json"))
+
+
+def test_lattice_cache_leaves_only_lattice_files(tmp_path):
+    for group in (symmetric(3), symmetric(4), cyclic(6)):
+        all_subgroups(group, cache_dir=tmp_path)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 3
+    assert all(name.startswith("lattice-") and name.endswith(".json") for name in names)
+
+
+@pytest.mark.parametrize("failure", ["torn-write", "failed-rename"])
+def test_lattice_cache_write_is_atomic(tmp_path, monkeypatch, failure):
+    group = symmetric(3)
+    lattice = all_subgroups(group, cache_dir=tmp_path)
+    path = subgroups._cache_path(group, tmp_path)
+    before = path.read_bytes()
+
+    def torn_write(self, data, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def failed_rename(src, dst):
+        raise OSError("rename failed")
+
+    if failure == "torn-write":
+        monkeypatch.setattr(Path, "write_text", torn_write)
+    else:
+        monkeypatch.setattr(os, "replace", failed_rename)
+    with pytest.raises(OSError):
+        subgroups._save_cached(group, lattice, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
