@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .invariants import Fingerprint, conjugacy_classes, fingerprint
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
-from .perm import FiniteGroup, element_order
+from .perm import FiniteGroup
 from .subgroups import SubgroupLattice
 
 
@@ -32,7 +32,7 @@ def _element_keys(group: FiniteGroup) -> list[tuple[int, int]]:
     for cls in conjugacy_classes(group):
         for i in cls:
             size[i] = len(cls)
-    return [(element_order(group, i), size[i]) for i in range(group.order)]
+    return list(zip(group.element_orders, size))
 
 
 def _pair_closure(g: FiniteGroup, h: FiniteGroup, sources: list[int],

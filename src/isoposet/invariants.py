@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import FiniteGroup, element_order
+from .perm import FiniteGroup
 
 
 @dataclass(frozen=True, order=True)
@@ -80,36 +80,19 @@ def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
 def derived_subgroup_indices(group: FiniteGroup, gens: Sequence[int]) -> list[int]:
     """Sorted member indices of [H, H] for the subgroup H generated by ``gens``.
 
-    Computed as the closure of the generator-pair commutators together with
-    their conjugates under H's generators (the normal closure in H).
+    Computed as the normal closure in H of the generator-pair commutators.
     """
-    gens = [g for g in dict.fromkeys(gens) if g != group.identity_index]
-    if not gens:
-        return [group.identity_index]
     seeds = []
     for a in gens:
         for b in gens:
             ia, ib = group.inverse_index(a), group.inverse_index(b)
-            c = group.mult(group.mult(group.mult(ia, ib), a), b)
-            if c != group.identity_index and c not in seeds:
-                seeds.append(c)
-    members = set(group.closure_indices(seeds))
-    while True:
-        extra = []
-        for g in gens:
-            for x in sorted(members):
-                y = group.conjugate_index(x, g)
-                if y not in members:
-                    extra.append(y)
-        if not extra:
-            return sorted(members)
-        seeds.extend(extra)
-        members = set(group.closure_indices(seeds))
+            seeds.append(group.mult(group.mult(group.mult(ia, ib), a), b))
+    return group.normal_closure_indices(seeds, gens)
 
 
 def fingerprint(group: FiniteGroup) -> Fingerprint:
     """Exhaustively computed invariant summary of a group."""
-    orders = [element_order(group, i) for i in range(group.order)]
+    orders = group.element_orders
     histogram = tuple(sorted(Counter(orders).items()))
     return Fingerprint(
         order=group.order,

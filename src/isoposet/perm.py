@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
@@ -205,6 +206,29 @@ class FiniteGroup:
         members.sort()
         return members
 
+    def normal_closure_indices(self, seed: Iterable[int],
+                               conjugators: Sequence[int]) -> list[int]:
+        """Sorted element indices of the least subgroup that contains
+        ``seed`` and is normalized by every element of ``conjugators``.
+
+        Only the generators found so far are conjugated: the closure is
+        normalized once each generator's conjugates lie in it, and every
+        conjugate that does not becomes a generator, at least doubling it.
+        A closure past half the group is the whole group, by Lagrange.
+        """
+        gens = [g for g in dict.fromkeys(seed) if g != self.identity_index]
+        half, whole = self.order // 2, list(range(self.order))
+        members = self.closure_indices(gens, stop_above=half) or whole
+        inside = set(members)
+        for g in gens:  # grows as conjugates escape
+            for c in conjugators:
+                y = self.conjugate_index(g, c)
+                if y not in inside:
+                    gens.append(y)
+                    members = self.closure_indices(gens, stop_above=half) or whole
+                    inside = set(members)
+        return members
+
     def greedy_generator_indices(self, members: Sequence[int] | None = None) -> tuple[int, ...]:
         """Small generating set: repeatedly take the lowest index not yet generated."""
         pool = list(members) if members is not None else list(range(self.order))
@@ -215,6 +239,11 @@ class FiniteGroup:
                 gens.append(m)
                 covered = set(self.closure_indices(gens))
         return tuple(gens)
+
+    @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        """Order of every element, by index."""
+        return tuple(p.order() for p in self.elements)
 
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
@@ -290,4 +319,4 @@ def closure(
 
 def element_order(group: FiniteGroup, i: int) -> int:
     """Smallest k >= 1 with elements[i]^k equal to the identity."""
-    return group.elements[i].order()
+    return group.element_orders[i]

@@ -108,17 +108,6 @@ class Poset:
             masks[x] = acc
         return tuple(masks)
 
-    @cached_property
-    def below(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for x in reversed(self._topo_from_top()):
-            acc = 0
-            for y in self.down[x]:
-                acc |= 1 << y
-                acc |= masks[y]
-            masks[x] = acc
-        return tuple(masks)
-
     def _topo_from_top(self) -> list[int]:
         # maximal elements first, every node after all its up-neighbors
         outdeg = [len(self.up[x]) for x in range(self.n)]

@@ -5,6 +5,11 @@ enumeration is cyclic extension up to conjugacy (Neubueser, 1960): it seeds
 with every cyclic subgroup, keeps one representative per conjugacy class,
 joins each representative with every cyclic subgroup, and adds each new
 subgroup together with its orbit under conjugation by the generators.
+
+Normal structure needs no lattice: every normal subgroup is a join of
+normal closures of conjugacy classes, so ``normal_subgroups``,
+``is_simple`` and ``composition_factors`` are built from the conjugacy
+classes alone and work above ``enum_cap``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .invariants import Fingerprint, derived_subgroup_indices, fingerprint
+from .invariants import Fingerprint, conjugacy_classes, derived_subgroup_indices, fingerprint
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup, Permutation, closure, element_order
 
@@ -172,20 +177,17 @@ def _finish_lattice(group: FiniteGroup, raw: list[tuple[tuple[int, ...], tuple[i
     subs = tuple(Subgroup(group, members, gens) for members, gens in raw)
     k = len(subs)
     contains_masks = []
+    supersets = [0] * k
     for i in range(k):
         mask_i = subs[i].mask
         bits = 0
         for j in range(k):
             if subs[j].mask & mask_i == subs[j].mask:
                 bits |= 1 << j
+                supersets[j] |= 1 << i
         contains_masks.append(bits)
     full = k - 1
-    above = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i != j and contains_masks[j] >> i & 1:
-                above[i] |= 1 << j
-    flags = tuple(i != full and above[i] == 1 << full for i in range(k))
+    flags = tuple(i != full and supersets[i] == 1 << i | 1 << full for i in range(k))
     return SubgroupLattice(group, subs, tuple(contains_masks), flags)
 
 
@@ -289,16 +291,21 @@ def _load_cached(group: FiniteGroup, path: Path) -> SubgroupLattice | None:
     except (OSError, ValueError):
         return None
     if (
-        payload.get("format_version") != 1
+        not isinstance(payload, dict)
+        or payload.get("format_version") != 1
         or payload.get("degree") != group.degree
         or payload.get("order") != group.order
         or payload.get("generators") != [list(p.images) for p in group.generators]
     ):
         return None
-    raw = [
-        (tuple(members), tuple(gens))
-        for members, gens in zip(payload["members"], payload["gens"])
-    ]
+    members, gens = payload.get("members"), payload.get("gens")
+    # shape only: the first subgroup must be trivial and the last the group
+    if not (isinstance(members, list) and isinstance(gens, list)
+            and len(members) == len(gens)
+            and members[:1] == [[group.identity_index]]
+            and members[-1:] == [list(range(group.order))]):
+        return None
+    raw = [(tuple(m), tuple(g)) for m, g in zip(members, gens)]
     return _finish_lattice(group, raw)
 
 
@@ -419,20 +426,30 @@ def has_subgroup_of_order(group: FiniteGroup, m: int, *,
     )
 
 
-def normal_subgroups(group: FiniteGroup, *, limits: Limits = DEFAULT_LIMITS,
-                     lattice: SubgroupLattice | None = None,
-                     cache_dir: str | os.PathLike | None = None) -> list[Subgroup]:
-    if lattice is None:
-        lattice = all_subgroups(group, limits=limits, cache_dir=cache_dir)
-    return [s for s in lattice.subgroups if is_normal(group, s)]
+def normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
+    """Every normal subgroup, sorted by (order, members).
+
+    A normal subgroup is the join of the normal closures of the conjugacy
+    classes it contains, so joining each class representative onto every
+    normal subgroup found before it reaches them all, without enumerating
+    the subgroup lattice.
+    """
+    conjugators = group.generator_indices()
+    found = {(group.identity_index,): ()}  # members -> class representatives
+    for cls in conjugacy_classes(group):
+        for members, reps in list(found.items()):
+            if cls[0] not in members:
+                seed = reps + (cls[0],)
+                found.setdefault(tuple(group.normal_closure_indices(seed, conjugators)), seed)
+    return [
+        Subgroup(group, members, group.greedy_generator_indices(members))
+        for members in sorted(found, key=lambda m: (len(m), m))
+    ]
 
 
-def is_simple(group: FiniteGroup, *, limits: Limits = DEFAULT_LIMITS,
-              lattice: SubgroupLattice | None = None,
-              cache_dir: str | os.PathLike | None = None) -> bool:
+def is_simple(group: FiniteGroup) -> bool:
     """True iff the group has exactly two normal subgroups."""
-    return len(normal_subgroups(group, limits=limits, lattice=lattice,
-                                cache_dir=cache_dir)) == 2
+    return len(normal_subgroups(group)) == 2
 
 
 def derived_series(group: FiniteGroup) -> list[Subgroup]:
@@ -454,43 +471,22 @@ def is_solvable(group: FiniteGroup) -> bool:
     return derived_series(group)[-1].order == 1
 
 
-def composition_factors(group: FiniteGroup, *, limits: Limits = DEFAULT_LIMITS,
-                        lattice: SubgroupLattice | None = None,
-                        cache_dir: str | os.PathLike | None = None,
-                        _policy: str = "first") -> tuple[Fingerprint, ...]:
+def composition_factors(group: FiniteGroup, *,
+                        limits: Limits = DEFAULT_LIMITS) -> tuple[Fingerprint, ...]:
     """Fingerprints of the composition factors, as a sorted tuple.
 
-    Repeatedly splits along a maximal proper normal subgroup, recursing on
-    the subgroup and the quotient.  Ties between maximal proper normal
-    subgroups break by subgroup index; the resulting multiset is
-    choice-independent, which the test suite checks rather than assumes.
-    A given lattice serves the top level; the recursion enumerates its own.
+    Splits along the smallest nontrivial normal subgroup N and recurses on
+    N and G/N; by Jordan-Hoelder the multiset does not depend on which N
+    is taken.
     """
-    if lattice is not None and lattice.parent is not group:
-        raise ValueError("lattice does not belong to this group")
     if group.order == 1:
         return ()
-    if lattice is None:
-        lattice = all_subgroups(group, limits=limits, cache_dir=cache_dir)
-    proper_normals = [
-        i for i, s in enumerate(lattice.subgroups)
-        if not s.is_full and is_normal(group, s)
-    ]
-    maximal_normals = [
-        i for i in proper_normals
-        if not any(
-            j != i and lattice.subgroups[j].contains(lattice.subgroups[i])
-            for j in proper_normals
-        )
-    ]
-    if maximal_normals == [lattice.trivial_index]:
+    normals = normal_subgroups(group)
+    if len(normals) == 2:
         return (fingerprint(group),)
-    pick = min(maximal_normals) if _policy == "first" else max(maximal_normals)
-    chosen = lattice.subgroups[pick]
-    quotient = coset_action(group, chosen, limits=limits)
-    inner = chosen.as_group(limits=limits)
-    factors = composition_factors(inner, limits=limits, cache_dir=cache_dir, _policy=_policy)
-    factors += composition_factors(quotient, limits=limits, cache_dir=cache_dir, _policy=_policy)
+    smallest = normals[1]
+    factors = composition_factors(smallest.as_group(limits=limits), limits=limits)
+    factors += composition_factors(coset_action(group, smallest, limits=limits), limits=limits)
     return tuple(sorted(factors))
 
 

@@ -291,13 +291,11 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
         evidence = {}
         ok = True
         for name in trio:
-            built, lat = candidate(name)
-            factors = composition_factors(built, limits=limits, lattice=lat,
-                                          cache_dir=cache_dir)
+            factors = composition_factors(candidate(name)[0], limits=limits)
             evidence[name] = {"factor_orders": sorted(fp.order for fp in factors)}
             if a5_fp not in factors:
                 ok = False
-        simple = is_simple(group, limits=limits, lattice=lattice())
+        simple = is_simple(group)
         evidence["PSL(2,7)"] = {"simple": simple}
         return _decide(ok and simple, evidence)
 

@@ -261,11 +261,11 @@ def test_criterion_10_property_suites(cache_dir):
     _report(10, not failures, f"property suites clean, failures={failures}")
 
 
-def test_criterion_11_composition_factors(cache_dir):
+def test_criterion_11_composition_factors():
     sl = _shared.get("sl") or sl2_5()
-    factors = composition_factors(sl, cache_dir=cache_dir)
+    factors = composition_factors(sl)
     expected = tuple(sorted([fingerprint(cyclic(2)), fingerprint(alternating(5))]))
     p7 = _shared.get("p7") or psl2(7)
-    simple = is_simple(p7, cache_dir=cache_dir)
+    simple = is_simple(p7)
     ok = factors == expected and simple
     _report(11, ok, "SL(2,5) factors are {Z2, A5}; PSL(2,7) is simple")

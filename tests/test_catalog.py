@@ -74,9 +74,9 @@ def test_psl25_is_alternating5():
     assert are_isomorphic(psl2(5), alternating(5))
 
 
-def test_psl2_simple(psl25_lattice, psl27_lattice, psl25, psl27):
-    assert is_simple(psl25, lattice=psl25_lattice)
-    assert is_simple(psl27, lattice=psl27_lattice)
+def test_psl2_simple(psl25, psl27):
+    assert is_simple(psl25)
+    assert is_simple(psl27)
 
 
 def test_sl2_5_order_and_center(sl25):

@@ -4,6 +4,7 @@ import pytest
 
 from isoposet import (
     Limits,
+    Permutation,
     ResourceLimitError,
     all_subgroups,
     alternating,
@@ -67,6 +68,21 @@ def test_fingerprint_as_dict_is_json_ready():
     payload = fingerprint(symmetric(3)).as_dict()
     assert json.loads(json.dumps(payload)) == payload
     assert payload["class_sizes"] == [1, 2, 3]
+
+
+def test_element_orders_computed_once(monkeypatch):
+    calls = Counter()
+    order = Permutation.order
+
+    def counting(self):
+        calls["order"] += 1
+        return order(self)
+
+    monkeypatch.setattr(Permutation, "order", counting)
+    g = symmetric(4)
+    fingerprint(g)
+    assert find_isomorphism(g, g) is not None
+    assert calls["order"] == g.order
 
 
 def test_are_isomorphic_basics():

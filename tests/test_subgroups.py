@@ -1,3 +1,4 @@
+import json
 import os
 from collections import Counter
 from pathlib import Path
@@ -247,14 +248,10 @@ def test_solvability():
     assert not is_solvable(psl2(5))
 
 
-def test_composition_factors_sl2_5(sl25, a5_lattice, cache_dir):
-    factors = composition_factors(sl25, cache_dir=cache_dir)
+def test_composition_factors_sl2_5(sl25):
+    factors = composition_factors(sl25)
     expected = tuple(sorted([fingerprint(cyclic(2)), fingerprint(alternating(5))]))
     assert factors == expected
-    lattice = all_subgroups(sl25, cache_dir=cache_dir)
-    assert composition_factors(sl25, lattice=lattice, cache_dir=cache_dir) == expected
-    with pytest.raises(ValueError, match="belong"):
-        composition_factors(sl25, lattice=a5_lattice)
 
 
 def test_composition_factors_cyclic12():
@@ -263,20 +260,73 @@ def test_composition_factors_cyclic12():
     assert all(fp.abelian for fp in factors)
 
 
-def test_composition_factors_simple_group(psl27, cache_dir):
-    factors = composition_factors(psl27, cache_dir=cache_dir)
+def test_composition_factors_simple_group(psl27):
+    factors = composition_factors(psl27)
     assert factors == (fingerprint(psl27),)
 
 
-def test_composition_factors_choice_invariant(cache_dir):
-    # the multiset must not depend on which maximal normal subgroup is taken
+# composition factor orders of the catalog groups sympy cannot decompose
+NONSOLVABLE_FACTOR_ORDERS = {
+    "A5": [60], "S5": [2, 60], "A5xZ2": [2, 60], "SL(2,5)": [2, 60], "PSL(2,7)": [168],
+}
+
+
+def test_composition_factors_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    solvable = 0
     for spec in catalog_specs():
         group = spec.build()
-        if group.order > 400:
+        mine = sorted(fp.order for fp in composition_factors(group))
+        other = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p.images)) for p in group.generators]
+        )
+        if not other.is_solvable:
+            assert mine == NONSOLVABLE_FACTOR_ORDERS[spec.name], spec.name
             continue
-        first = composition_factors(group, cache_dir=cache_dir, _policy="first")
-        last = composition_factors(group, cache_dir=cache_dir, _policy="last")
-        assert first == last, spec.name
+        solvable += 1
+        series = other.composition_series()
+        ratios = sorted(a.order() // b.order() for a, b in zip(series, series[1:]))
+        assert mine == ratios, spec.name
+    assert solvable == 48
+
+
+def test_normal_subgroups_match_lattice(cache_dir):
+    for spec in catalog_specs():
+        group = spec.build()
+        if group.order > Limits().enum_cap:
+            continue
+        expected = {
+            s.members for s in all_subgroups(group, cache_dir=cache_dir).subgroups
+            if is_normal(group, s)
+        }
+        normals = normal_subgroups(group)
+        assert {n.members for n in normals} == expected, spec.name
+        assert len(normals) == len(expected), spec.name
+        for n in normals:
+            assert tuple(group.closure_indices(n.gens)) == n.members, spec.name
+
+
+def test_composition_factors_ignore_enum_cap():
+    factors = composition_factors(symmetric(4), limits=Limits(enum_cap=10))
+    assert sorted(fp.order for fp in factors) == [2, 2, 2, 3]
+
+
+def test_normal_structure_above_enum_cap(a5):
+    product = direct_product(a5, a5)
+    assert product.order > Limits().enum_cap
+    assert [n.order for n in normal_subgroups(product)] == [1, 60, 60, 3600]
+    assert composition_factors(product) == (fingerprint(a5), fingerprint(a5))
+
+
+def test_normal_closure_indices():
+    g = symmetric(4)
+    swap = g.index_of(Permutation.from_cycles(4, (0, 1)))
+    double = g.index_of(Permutation.from_cycles(4, (0, 1), (2, 3)))
+    gens = g.generator_indices()
+    assert len(g.normal_closure_indices([swap], gens)) == 24
+    assert len(g.normal_closure_indices([double], gens)) == 4
+    assert g.normal_closure_indices([double], [double]) == sorted([g.identity_index, double])
+    assert g.normal_closure_indices([], gens) == [g.identity_index]
 
 
 def test_order_shape():
@@ -320,7 +370,7 @@ def test_coset_action_sl2_5_center_gives_a5(sl25):
     assert are_isomorphic(quotient, alternating(5))
 
 
-def test_nonabelian_simple_catalog_orders_divisible_by_4(cache_dir):
+def test_nonabelian_simple_catalog_orders_divisible_by_4():
     from isoposet import fingerprint
 
     simple_names = []
@@ -328,7 +378,7 @@ def test_nonabelian_simple_catalog_orders_divisible_by_4(cache_dir):
         group = spec.build()
         if group.order > 400 or fingerprint(group).abelian:
             continue
-        if is_simple(group, cache_dir=cache_dir):
+        if is_simple(group):
             simple_names.append(spec.name)
             assert group.order % 4 == 0, spec.name
     assert "A5" in simple_names and "PSL(2,7)" in simple_names
@@ -403,6 +453,33 @@ def test_lattice_cache_leaves_only_lattice_files(tmp_path):
     names = sorted(p.name for p in tmp_path.iterdir())
     assert len(names) == 3
     assert all(name.startswith("lattice-") and name.endswith(".json") for name in names)
+
+
+def _drop_members(payload):
+    del payload["members"]
+    return payload
+
+
+def _cut_gens(payload):
+    payload["gens"] = payload["gens"][:5]
+    return payload
+
+
+@pytest.mark.parametrize("corrupt", [lambda payload: [payload], _drop_members, _cut_gens],
+                         ids=["list-payload", "no-members", "cut-gens"])
+def test_lattice_cache_rejects_malformed_file(tmp_path, corrupt):
+    group = symmetric(4)
+    fresh = all_subgroups(group)
+    path = subgroups._cache_path(group, tmp_path)
+    all_subgroups(group, cache_dir=tmp_path)
+    good = path.read_bytes()
+    path.write_text(json.dumps(corrupt(json.loads(good))), "utf-8")
+    assert subgroups._load_cached(group, path) is None
+    lattice = all_subgroups(group, cache_dir=tmp_path)
+    assert [(s.members, s.gens) for s in lattice.subgroups] == \
+        [(s.members, s.gens) for s in fresh.subgroups]
+    assert lattice.maximal_flags == fresh.maximal_flags
+    assert path.read_bytes() == good
 
 
 @pytest.mark.parametrize("failure", ["torn-write", "failed-rename"])

@@ -2,7 +2,15 @@ import dataclasses
 import json
 from collections import Counter
 
-from isoposet import build_iso_poset, cyclic, group_from_name, subgroups
+from isoposet import (
+    build_iso_poset,
+    composition_factors,
+    cyclic,
+    group_from_name,
+    is_simple,
+    normal_subgroups,
+    subgroups,
+)
 from isoposet.cli import main
 from isoposet.export import poset_dict, poset_dot, report_dict, to_json
 from isoposet.verify import (
@@ -58,6 +66,26 @@ def test_verify_psl27_enumerates_each_group_once(monkeypatch):
     verify_psl27()
     for name in ("S5", "A5xZ2", "SL(2,5)"):
         assert calls[name] == 1, (name, calls)
+
+
+def test_normal_structure_enumerates_no_lattice(monkeypatch, sl25):
+    # normal subgroups come from conjugacy classes; only the claims that
+    # read a lattice enumerate one
+    monkeypatch.delenv("ISOPOSET_CACHE_DIR", raising=False)
+    calls = Counter()
+    enumerate_subgroups = subgroups._enumerate_subgroups
+
+    def counting(group):
+        calls[group.name] += 1
+        return enumerate_subgroups(group)
+
+    monkeypatch.setattr(subgroups, "_enumerate_subgroups", counting)
+    composition_factors(sl25)
+    is_simple(sl25)
+    normal_subgroups(sl25)
+    assert sum(calls.values()) == 0
+    verify_all()
+    assert sum(calls.values()) == 18, calls
 
 
 def test_verify_remark(cache_dir):
