@@ -144,31 +144,35 @@ def classify_with_data(
 
     Returns (member subgroup indices, fingerprint, representative index)
     triples sorted by (fingerprint, members); the representative is the
-    lowest-index member.  Subgroups are compared as standalone groups after
-    fingerprint bucketing.
+    lowest-index member.  Conjugate subgroups are isomorphic, so only the
+    lowest-index member of each conjugacy class is realized as a standalone
+    group, fingerprinted and compared, and its class inherits the result.
     """
     if lattice.parent is not group:
         raise ValueError("lattice does not belong to this group")
-    realized = [s.as_group(limits=limits) for s in lattice.subgroups]
-    fps = [fingerprint(grp) for grp in realized]
+    conjugates: dict[int, list[int]] = {}
+    for idx, cls in enumerate(lattice.class_of):
+        conjugates.setdefault(cls, []).append(idx)
+    orbits = list(conjugates.values())  # ordered by least member
+    realized = [lattice.subgroups[orbit[0]].as_group(limits=limits) for orbit in orbits]
     buckets: dict[Fingerprint, list[int]] = {}
-    for idx, fp in enumerate(fps):
-        buckets.setdefault(fp, []).append(idx)
+    for k, grp in enumerate(realized):
+        buckets.setdefault(fingerprint(grp), []).append(k)
     out: list[tuple[tuple[int, ...], Fingerprint, int]] = []
-    for fp in sorted(buckets):
+    for fp, ks in buckets.items():
         reps: list[int] = []
         members: dict[int, list[int]] = {}
-        for idx in buckets[fp]:
+        for k in ks:
             for rep in reps:
-                if find_isomorphism(realized[rep], realized[idx],
+                if find_isomorphism(realized[rep], realized[k],
                                     limits=limits, fg=fp, fh=fp) is not None:
-                    members[rep].append(idx)
+                    members[rep] += orbits[k]
                     break
             else:
-                reps.append(idx)
-                members[idx] = [idx]
+                reps.append(k)
+                members[k] = list(orbits[k])
         for rep in reps:
-            out.append((tuple(members[rep]), fp, rep))
+            out.append((tuple(sorted(members[rep])), fp, orbits[rep][0]))
     out.sort(key=lambda cls: (cls[1], cls[0]))
     return out
 

@@ -153,7 +153,7 @@ class FiniteGroup:
             return self.cayley_table[i][j]
         a = self._images[i]
         b = self._images[j]
-        return self._index[tuple(b[x] for x in a)]
+        return self._index[tuple([b[x] for x in a])]
 
     def inverse_index(self, i: int) -> int:
         return self._inverses[i]

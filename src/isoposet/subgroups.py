@@ -36,22 +36,11 @@ class Subgroup:
     gens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mask = 0
-        for m in self.members:
-            mask |= 1 << m
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", _mask(self.members))
 
     @property
     def order(self) -> int:
         return len(self.members)
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.members) == 1
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.members) == self.parent.order
 
     def contains(self, other: "Subgroup") -> bool:
         if other.parent is not self.parent:
@@ -147,34 +136,32 @@ class SubgroupLattice:
 
     ``contains_masks[i]`` has bit j set iff subgroups[j] is a subset of
     subgroups[i]; ``maximal_flags[i]`` is True iff the only strict
-    over-subgroup of i is the whole group.
+    over-subgroup of i is the whole group; ``class_of[i]`` is the id of
+    the conjugacy class of subgroups[i], numbered by least member index.
     """
 
     parent: FiniteGroup
     subgroups: tuple[Subgroup, ...]
     contains_masks: tuple[int, ...]
     maximal_flags: tuple[bool, ...]
+    class_of: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.subgroups)
-
-    @property
-    def trivial_index(self) -> int:
-        return 0
-
-    @property
-    def full_index(self) -> int:
-        return len(self.subgroups) - 1
 
     def contains(self, i: int, j: int) -> bool:
         """True iff subgroups[j] is a subset of subgroups[i]."""
         return bool(self.contains_masks[i] >> j & 1)
 
 
-def _finish_lattice(group: FiniteGroup, raw: list[tuple[tuple[int, ...], tuple[int, ...]]]
-                    ) -> SubgroupLattice:
-    raw.sort(key=lambda mg: (len(mg[0]), mg[0]))
-    subs = tuple(Subgroup(group, members, gens) for members, gens in raw)
+_Raw = list[tuple[tuple[int, ...], tuple[int, ...], int]]  # (members, gens, class id)
+
+
+def _finish_lattice(group: FiniteGroup, raw: _Raw) -> SubgroupLattice:
+    raw.sort(key=lambda mgc: (len(mgc[0]), mgc[0]))
+    subs = tuple(Subgroup(group, members, gens) for members, gens, _ in raw)
+    renumber: dict[int, int] = {}
+    class_of = tuple(renumber.setdefault(c, len(renumber)) for _, _, c in raw)
     k = len(subs)
     contains_masks = []
     supersets = [0] * k
@@ -188,10 +175,41 @@ def _finish_lattice(group: FiniteGroup, raw: list[tuple[tuple[int, ...], tuple[i
         contains_masks.append(bits)
     full = k - 1
     flags = tuple(i != full and supersets[i] == 1 << i | 1 << full for i in range(k))
-    return SubgroupLattice(group, subs, tuple(contains_masks), flags)
+    return SubgroupLattice(group, subs, tuple(contains_masks), flags, class_of)
 
 
-def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _mask(members: Iterable[int]) -> int:
+    mask = 0
+    for i in members:
+        mask |= 1 << i
+    return mask
+
+
+def _members_of(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _conjugation_maps(group: FiniteGroup) -> list[list[int]]:
+    """i -> g^-1 * i * g as an index list, for each distinct generator g."""
+    return [
+        [group.conjugate_index(i, g) for i in range(group.order)]
+        for g in dict.fromkeys(group.generator_indices())
+    ]
+
+
+def _orbit(members: list[int], conj_maps: list[list[int]]) -> list[int]:
+    """Member masks of every conjugate of the subgroup ``members``, itself first."""
+    orbit: dict[int, None] = {}
+    todo = [members]
+    for current in todo:  # grows as new conjugates appear
+        mask = _mask(current)
+        if mask not in orbit:
+            orbit[mask] = None
+            todo += [[cmap[i] for i in current] for cmap in conj_maps]
+    return list(orbit)
+
+
+def _enumerate_subgroups(group: FiniteGroup) -> _Raw:
     # One representative per conjugacy class is joined with every cyclic
     # subgroup; each new subgroup enters with its whole conjugation orbit.
     # Complete, by induction on K = <C1..Ck>: if <C1..Ci> = R^g for a
@@ -200,10 +218,7 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[tuple[int, ...], tupl
     ident = group.identity_index
     half = n // 2
     full_mask = (1 << n) - 1
-    conj_maps = [
-        [group.conjugate_index(i, g) for i in range(n)]
-        for g in dict.fromkeys(group.generator_indices())
-    ]
+    conj_maps = _conjugation_maps(group)
 
     cyclic_by_mask: dict[int, int] = {}
     for i in range(n):
@@ -212,40 +227,25 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[tuple[int, ...], tupl
         while j != ident:
             members.append(j)
             j = group.mult(j, i)
-        mask = 0
-        for m in members:
-            mask |= 1 << m
-        cyclic_by_mask.setdefault(mask, i)
+        cyclic_by_mask.setdefault(_mask(members), i)
     cyclics = sorted(cyclic_by_mask.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
     known: dict[int, tuple[int, ...]] = {1 << ident: ()}
     for mask, gen in cyclics:
         known.setdefault(mask, (gen,))
     reps: list[int] = []
-    seen: set[int] = set()
-
-    def members_of(mask: int) -> list[int]:
-        return [i for i in range(n) if mask >> i & 1]
+    class_of: dict[int, int] = {}
 
     def add_class(mask: int) -> None:
         """Record the conjugation orbit of ``mask``; new members get greedy gens."""
+        for image in _orbit(_members_of(mask), conj_maps):
+            class_of[image] = len(reps)
+            if image not in known:
+                known[image] = group.greedy_generator_indices(_members_of(image))
         reps.append(mask)
-        seen.add(mask)
-        stack = [mask]
-        while stack:
-            members = members_of(stack.pop())
-            for cmap in conj_maps:
-                image = 0
-                for i in members:
-                    image |= 1 << cmap[i]
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
-                    if image not in known:
-                        known[image] = group.greedy_generator_indices(members_of(image))
 
     for mask in list(known):
-        if mask not in seen:
+        if mask not in class_of:
             add_class(mask)
     for hmask in reps:  # grows as joins find new classes
         if hmask == full_mask:
@@ -255,19 +255,16 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[tuple[int, ...], tupl
             if cmask & hmask == cmask:
                 continue
             result = group.closure_indices(list(hgens) + [cgen], stop_above=half)
-            if result is None:
-                jmask = full_mask
-            else:
-                jmask = 0
-                for m in result:
-                    jmask |= 1 << m
+            jmask = full_mask if result is None else _mask(result)
             if jmask not in known:
                 known[jmask] = (group.generator_indices() if result is None
                                 else group.greedy_generator_indices(result))
                 add_class(jmask)
     if full_mask not in known:
         known[full_mask] = group.generator_indices()
-    return [(tuple(members_of(mask)), tuple(gens)) for mask, gens in known.items()]
+        class_of[full_mask] = len(reps)
+    return [(tuple(_members_of(mask)), tuple(gens), class_of[mask])
+            for mask, gens in known.items()]
 
 
 def _cache_path(group: FiniteGroup, cache_dir: str | os.PathLike) -> Path:
@@ -305,7 +302,25 @@ def _load_cached(group: FiniteGroup, path: Path) -> SubgroupLattice | None:
             and members[:1] == [[group.identity_index]]
             and members[-1:] == [list(range(group.order))]):
         return None
-    raw = [(tuple(m), tuple(g)) for m, g in zip(members, gens)]
+    # the conjugacy class ids are not stored: recompute them, and treat a
+    # conjugate missing from the file as a miss
+    try:
+        masks = [_mask(m) for m in members]
+    except (TypeError, ValueError):
+        return None
+    if any(mask >> group.order for mask in masks):
+        return None
+    conj_maps = _conjugation_maps(group)
+    class_of: dict[int, int] = dict.fromkeys(masks, -1)
+    classes = 0
+    for m, mask in zip(members, masks):
+        if class_of[mask] < 0:
+            for image in _orbit(m, conj_maps):
+                if image not in class_of:
+                    return None
+                class_of[image] = classes
+            classes += 1
+    raw = [(tuple(m), tuple(g), class_of[mask]) for m, g, mask in zip(members, gens, masks)]
     return _finish_lattice(group, raw)
 
 
@@ -430,17 +445,23 @@ def normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Every normal subgroup, sorted by (order, members).
 
     A normal subgroup is the join of the normal closures of the conjugacy
-    classes it contains, so joining each class representative onto every
-    normal subgroup found before it reaches them all, without enumerating
-    the subgroup lattice.
+    classes it contains.  Each class's normal closure is computed once,
+    and joining each distinct closure onto every normal subgroup found
+    before it reaches them all, without enumerating the subgroup lattice.
     """
     conjugators = group.generator_indices()
-    found = {(group.identity_index,): ()}  # members -> class representatives
+    closures: dict[tuple[int, ...], tuple[int, ...]] = {}  # members -> class representatives
     for cls in conjugacy_classes(group):
+        closures.setdefault(tuple(group.normal_closure_indices([cls[0]], conjugators)), (cls[0],))
+    found = {(group.identity_index,): ()}
+    for closure_members, seed in closures.items():
+        inside = set(closure_members)
         for members, reps in list(found.items()):
-            if cls[0] not in members:
-                seed = reps + (cls[0],)
-                found.setdefault(tuple(group.normal_closure_indices(seed, conjugators)), seed)
+            if inside.issuperset(members):
+                found.setdefault(closure_members, seed)
+            elif not inside.issubset(members):
+                joined = reps + seed
+                found.setdefault(tuple(group.normal_closure_indices(joined, conjugators)), joined)
     return [
         Subgroup(group, members, group.greedy_generator_indices(members))
         for members in sorted(found, key=lambda m: (len(m), m))

@@ -344,10 +344,10 @@ def verify_remark(*, limits: Limits = DEFAULT_LIMITS,
         return _decide(ok, {"diagonal_order": diagonal.order, "index": product.order // diagonal.order})
 
     def claim_copy_isomorphic():
+        standalone = left_copy.as_group(limits=limits)
         ok = are_isomorphic(
-            left_copy.as_group(limits=limits), diagonal.as_group(limits=limits),
-            limits=limits,
-        ) and are_isomorphic(left_copy.as_group(limits=limits), a5, limits=limits)
+            standalone, diagonal.as_group(limits=limits), limits=limits,
+        ) and are_isomorphic(standalone, a5, limits=limits)
         return _decide(ok, {"orders": [left_copy.order, diagonal.order]})
 
     def claim_copy_not_maximal():

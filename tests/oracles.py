@@ -3,14 +3,17 @@
 These stay deliberately independent of the library's search code: the group
 oracle enumerates order-respecting bijections outright, the poset oracle
 enumerates all node bijections, the subgroup oracle closes every small
-element subset.
+element subset, and the conjugacy oracle conjugates by every element.
+The classification oracle is the exception: it is the per-subgroup
+classification that the one-per-conjugacy-class path replaced, run on
+every subgroup with the library's own isomorphism search.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from isoposet import FiniteGroup, Poset, element_order
+from isoposet import FiniteGroup, Poset, element_order, find_isomorphism, fingerprint
 
 
 def oracle_group_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
@@ -92,3 +95,41 @@ def oracle_subgroups(group: FiniteGroup) -> set[frozenset[int]]:
         for k in range(size + 1)
         for seed in itertools.combinations(rest, k)
     }
+
+
+def oracle_conjugacy_classes(group: FiniteGroup, subgroups) -> set[frozenset[int]]:
+    """Partition of subgroup positions into conjugacy classes: two member
+    sets are in one class iff some element g maps one onto the other by
+    h -> g^-1 h g."""
+    position = {frozenset(members): k for k, members in enumerate(subgroups)}
+    classes = set()
+    for members in subgroups:
+        conjugates = set()
+        for g in range(group.order):
+            inv = group.inverse_index(g)
+            image = frozenset(group.mult(group.mult(inv, h), g) for h in members)
+            conjugates.add(position[image])
+        classes.add(frozenset(conjugates))
+    return classes
+
+
+def oracle_classify(group: FiniteGroup, lattice) -> list[tuple[tuple[int, ...], object, int]]:
+    """Isomorphism classes with every subgroup realized, fingerprinted and
+    tested on its own, in the triple format of ``classify_with_data``."""
+    realized = [s.as_group() for s in lattice.subgroups]
+    buckets: dict = {}
+    for idx, grp in enumerate(realized):
+        buckets.setdefault(fingerprint(grp), []).append(idx)
+    out = []
+    for fp, indices in buckets.items():
+        classes: list[list[int]] = []
+        for idx in indices:
+            for cls in classes:
+                if find_isomorphism(realized[cls[0]], realized[idx]) is not None:
+                    cls.append(idx)
+                    break
+            else:
+                classes.append([idx])
+        out += [(tuple(cls), fp, cls[0]) for cls in classes]
+    out.sort(key=lambda cls: (cls[1], cls[0]))
+    return out

@@ -12,6 +12,7 @@ from isoposet import (
     classify,
     closure,
     cyclic,
+    psl2,
     dicyclic,
     dihedral,
     direct_product,
@@ -20,9 +21,11 @@ from isoposet import (
     group_from_name,
     symmetric,
 )
+from isoposet.catalog import catalog_specs
 from isoposet.groupiso import classify_with_data
+from isoposet.subgroups import Subgroup
 
-from oracles import oracle_group_isomorphic
+from oracles import oracle_classify, oracle_group_isomorphic
 
 
 def shuffled_copy(group):
@@ -213,3 +216,25 @@ def test_classify_rejects_foreign_lattice(a5):
     other = symmetric(3)
     with pytest.raises(ValueError):
         classify(a5, all_subgroups(other))
+
+
+def test_classify_matches_per_subgroup_oracle(cache_dir):
+    for spec in catalog_specs(max_order=168):
+        group = spec.build()
+        lattice = all_subgroups(group, cache_dir=cache_dir)
+        assert classify_with_data(group, lattice) == oracle_classify(group, lattice), spec.name
+
+
+def test_classify_realizes_one_subgroup_per_conjugacy_class(psl27, psl27_lattice, monkeypatch):
+    calls = 0
+    as_group = Subgroup.as_group
+
+    def counting(self, **kwargs):
+        nonlocal calls
+        calls += 1
+        return as_group(self, **kwargs)
+
+    monkeypatch.setattr(Subgroup, "as_group", counting)
+    classify_with_data(psl27, psl27_lattice)
+    assert calls == 15  # one per conjugacy class; 179 subgroups
+    assert len(set(psl27_lattice.class_of)) == 15

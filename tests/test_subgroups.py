@@ -37,10 +37,11 @@ from isoposet import (
     subgroups,
     symmetric,
 )
-from isoposet.catalog import catalog_specs
+from isoposet.catalog import catalog_specs, group_from_name
+from isoposet.invariants import conjugacy_classes
 from isoposet.subgroups import _every_group_cyclic
 
-from oracles import oracle_closure, oracle_subgroups
+from oracles import oracle_closure, oracle_conjugacy_classes, oracle_subgroups
 
 
 def test_subgroup_counts_cyclic6():
@@ -109,8 +110,31 @@ def test_enumeration_work_count_psl27(monkeypatch):
 
 
 def test_lattice_contains_trivial_and_full(a5_lattice):
-    assert a5_lattice.subgroups[a5_lattice.trivial_index].is_trivial
-    assert a5_lattice.subgroups[a5_lattice.full_index].is_full
+    assert a5_lattice.subgroups[0].order == 1
+    assert a5_lattice.subgroups[-1].order == a5_lattice.parent.order
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "D12", "Q8", "A5", "PSL(2,7)"])
+def test_class_of_matches_bruteforce_oracle(name, cache_dir):
+    group = group_from_name(name)
+    lattice = all_subgroups(group, cache_dir=cache_dir)
+    classes: dict[int, set[int]] = {}
+    for i, cls in enumerate(lattice.class_of):
+        classes.setdefault(cls, set()).add(i)
+    expected = oracle_conjugacy_classes(group, [s.members for s in lattice.subgroups])
+    assert set(map(frozenset, classes.values())) == expected
+    # ids are numbered by least member
+    assert list(dict.fromkeys(lattice.class_of)) == list(range(len(classes)))
+
+
+def test_class_of_survives_cache_load(tmp_path):
+    for spec in catalog_specs():
+        group = spec.build()
+        fresh = all_subgroups(group, cache_dir=tmp_path)
+        loaded = subgroups._load_cached(group, subgroups._cache_path(group, tmp_path))
+        assert loaded is not None, spec.name
+        assert loaded.class_of == fresh.class_of, spec.name
+        assert [s.members for s in loaded.subgroups] == [s.members for s in fresh.subgroups]
 
 
 def test_lagrange_for_every_subgroup():
@@ -161,7 +185,7 @@ def test_is_maximal_matches_lattice_flags():
                   dicyclic(3), alternating(5)):
         lattice = all_subgroups(group)
         for i, sub in enumerate(lattice.subgroups):
-            if sub.is_full:
+            if sub.order == group.order:
                 continue
             assert is_maximal(group, sub) == lattice.maximal_flags[i], (group.name, i)
 
@@ -170,7 +194,7 @@ def test_is_maximal_rejects_full_group():
     group = cyclic(6)
     lattice = all_subgroups(group)
     with pytest.raises(ValueError, match="undefined"):
-        is_maximal(group, lattice.subgroups[lattice.full_index])
+        is_maximal(group, lattice.subgroups[-1])
 
 
 def test_a4_copies_are_maximal_in_a5(a5, a5_lattice):
@@ -318,6 +342,23 @@ def test_normal_structure_above_enum_cap(a5):
     assert composition_factors(product) == (fingerprint(a5), fingerprint(a5))
 
 
+def test_normal_subgroups_close_each_class_once(a5, monkeypatch):
+    product = direct_product(a5, a5)
+    calls = 0
+    normal_closure_indices = FiniteGroup.normal_closure_indices
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return normal_closure_indices(self, *args, **kwargs)
+
+    classes = len(conjugacy_classes(product))
+    monkeypatch.setattr(FiniteGroup, "normal_closure_indices", counting)
+    normals = normal_subgroups(product)
+    # one closure per conjugacy class, plus at most one per join
+    assert calls <= classes + len(normals)
+
+
 def test_normal_closure_indices():
     g = symmetric(4)
     swap = g.index_of(Permutation.from_cycles(4, (0, 1)))
@@ -342,14 +383,14 @@ def test_order_shape():
 def test_coset_action_by_whole_group():
     g = symmetric(3)
     lattice = all_subgroups(g)
-    quotient = coset_action(g, lattice.subgroups[lattice.full_index])
+    quotient = coset_action(g, lattice.subgroups[-1])
     assert quotient.order == 1
 
 
 def test_coset_action_by_trivial_subgroup():
     g = symmetric(3)
     lattice = all_subgroups(g)
-    quotient = coset_action(g, lattice.subgroups[lattice.trivial_index])
+    quotient = coset_action(g, lattice.subgroups[0])
     assert are_isomorphic(quotient, g)  # regular action
 
 
@@ -419,7 +460,7 @@ def test_subgroup_from_members_validates():
     with pytest.raises(ValueError, match="closed"):
         subgroup_from_members(g, [g.identity_index, three_cycle])
     full = subgroup_from_members(g, range(g.order))
-    assert full.is_full
+    assert full.order == g.order
 
 
 def test_lattice_cache_roundtrip(tmp_path):
@@ -465,8 +506,28 @@ def _cut_gens(payload):
     return payload
 
 
-@pytest.mark.parametrize("corrupt", [lambda payload: [payload], _drop_members, _cut_gens],
-                         ids=["list-payload", "no-members", "cut-gens"])
+def _drop_conjugate(payload):
+    # S4's subgroup 1 has order 2, and each of its classes has 3 or 6 members
+    del payload["members"][1]
+    del payload["gens"][1]
+    return payload
+
+
+def _member_out_of_range(payload):
+    payload["members"][1] = [0, 24]
+    return payload
+
+
+def _member_not_int(payload):
+    payload["members"][1] = [0, "1"]
+    return payload
+
+
+@pytest.mark.parametrize("corrupt",
+                         [lambda payload: [payload], _drop_members, _cut_gens, _drop_conjugate,
+                          _member_out_of_range, _member_not_int],
+                         ids=["list-payload", "no-members", "cut-gens", "missing-conjugate",
+                              "member-out-of-range", "member-not-int"])
 def test_lattice_cache_rejects_malformed_file(tmp_path, corrupt):
     group = symmetric(4)
     fresh = all_subgroups(group)
@@ -479,6 +540,7 @@ def test_lattice_cache_rejects_malformed_file(tmp_path, corrupt):
     assert [(s.members, s.gens) for s in lattice.subgroups] == \
         [(s.members, s.gens) for s in fresh.subgroups]
     assert lattice.maximal_flags == fresh.maximal_flags
+    assert lattice.class_of == fresh.class_of
     assert path.read_bytes() == good
 
 
