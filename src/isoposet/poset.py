@@ -32,21 +32,7 @@ class Poset:
             if (lo, hi) in seen:
                 raise ValueError(f"duplicate cover edge ({lo}, {hi})")
             seen.add((lo, hi))
-        # acyclicity via Kahn's algorithm
-        indeg = [0] * self.n
-        for _, hi in self.hasse:
-            indeg[hi] += 1
-        ready = [x for x in range(self.n) if indeg[x] == 0]
-        topo = []
-        while ready:
-            x = ready.pop()
-            topo.append(x)
-            for lo, hi in self.hasse:
-                if lo == x:
-                    indeg[hi] -= 1
-                    if indeg[hi] == 0:
-                        ready.append(hi)
-        if len(topo) != self.n:
+        if len(self._topo_from_top) != self.n:
             raise ValueError("cover edges contain a cycle")
         # transitive reduction: no edge may follow from two others
         for lo, hi in self.hasse:
@@ -59,6 +45,8 @@ class Poset:
         """Build from the full order relation, reducing to covers."""
         strict = [0] * n
         for a, b in leq_pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"pair ({a}, {b}) is out of range for {n} elements")
             if a != b:
                 strict[a] |= 1 << b
         for a in range(n):
@@ -70,16 +58,13 @@ class Poset:
                         raise ValueError("relation is not transitive")
         covers = []
         for a in range(n):
-            for b in range(n):
-                if strict[a] >> b & 1:
-                    implied = any(
-                        strict[a] >> c & 1 and strict[c] >> b & 1
-                        for c in range(n)
-                        if c not in (a, b)
-                    )
-                    if not implied:
-                        covers.append((a, b))
-        return cls(n, tuple(sorted(covers)))
+            implied = 0
+            for c in range(n):
+                if strict[a] >> c & 1:
+                    implied |= strict[c]
+            cover = strict[a] & ~implied
+            covers += [(a, b) for b in range(n) if cover >> b & 1]
+        return cls(n, tuple(covers))
 
     @cached_property
     def up(self) -> tuple[tuple[int, ...], ...]:
@@ -98,9 +83,8 @@ class Poset:
     @cached_property
     def above(self) -> tuple[int, ...]:
         """above[x] = bitmask of nodes strictly greater than x."""
-        order = self._topo_from_top()
         masks = [0] * self.n
-        for x in order:
+        for x in self._topo_from_top:
             acc = 0
             for y in self.up[x]:
                 acc |= 1 << y
@@ -108,8 +92,10 @@ class Poset:
             masks[x] = acc
         return tuple(masks)
 
-    def _topo_from_top(self) -> list[int]:
-        # maximal elements first, every node after all its up-neighbors
+    @cached_property
+    def _topo_from_top(self) -> tuple[int, ...]:
+        """Maximal elements first, every node after all its up-neighbors;
+        shorter than n exactly when the cover edges contain a cycle."""
         outdeg = [len(self.up[x]) for x in range(self.n)]
         ready = [x for x in range(self.n) if outdeg[x] == 0]
         order = []
@@ -120,19 +106,19 @@ class Poset:
                 outdeg[y] -= 1
                 if outdeg[y] == 0:
                     ready.append(y)
-        return order
+        return tuple(order)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
         h = [0] * self.n
-        for x in reversed(self._topo_from_top()):
+        for x in reversed(self._topo_from_top):
             h[x] = max((h[y] + 1 for y in self.down[x]), default=0)
         return tuple(h)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
         d = [0] * self.n
-        for x in self._topo_from_top():
+        for x in self._topo_from_top:
             d[x] = max((d[y] + 1 for y in self.up[x]), default=0)
         return tuple(d)
 

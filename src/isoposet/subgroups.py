@@ -20,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .invariants import Fingerprint, conjugacy_classes, derived_subgroup_indices, fingerprint
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
@@ -154,11 +154,12 @@ class SubgroupLattice:
         return bool(self.contains_masks[i] >> j & 1)
 
 
-_Raw = list[tuple[tuple[int, ...], tuple[int, ...], int]]  # (members, gens, class id)
+_Orbit = list[tuple[tuple[int, ...], tuple[int, ...]]]  # (members, generators), representative first
 
 
-def _finish_lattice(group: FiniteGroup, raw: _Raw) -> SubgroupLattice:
-    raw.sort(key=lambda mgc: (len(mgc[0]), mgc[0]))
+def _finish_lattice(group: FiniteGroup, orbits: list[_Orbit]) -> SubgroupLattice:
+    raw = sorted(((members, gens, c) for c, orbit in enumerate(orbits) for members, gens in orbit),
+                 key=lambda mgc: (len(mgc[0]), mgc[0]))
     subs = tuple(Subgroup(group, members, gens) for members, gens, _ in raw)
     renumber: dict[int, int] = {}
     class_of = tuple(renumber.setdefault(c, len(renumber)) for _, _, c in raw)
@@ -168,7 +169,8 @@ def _finish_lattice(group: FiniteGroup, raw: _Raw) -> SubgroupLattice:
     for i in range(k):
         mask_i = subs[i].mask
         bits = 0
-        for j in range(k):
+        # sorted by order, so a proper subgroup always sits lower
+        for j in range(i + 1):
             if subs[j].mask & mask_i == subs[j].mask:
                 bits |= 1 << j
                 supersets[j] |= 1 << i
@@ -185,10 +187,6 @@ def _mask(members: Iterable[int]) -> int:
     return mask
 
 
-def _members_of(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _conjugation_maps(group: FiniteGroup) -> list[list[int]]:
     """i -> g^-1 * i * g as an index list, for each distinct generator g."""
     return [
@@ -197,19 +195,22 @@ def _conjugation_maps(group: FiniteGroup) -> list[list[int]]:
     ]
 
 
-def _orbit(members: list[int], conj_maps: list[list[int]]) -> list[int]:
-    """Member masks of every conjugate of the subgroup ``members``, itself first."""
-    orbit: dict[int, None] = {}
-    todo = [members]
-    for current in todo:  # grows as new conjugates appear
-        mask = _mask(current)
-        if mask not in orbit:
-            orbit[mask] = None
-            todo += [[cmap[i] for i in current] for cmap in conj_maps]
-    return list(orbit)
+def _orbit(members: Sequence[int], gens: tuple[int, ...], conj_maps: list[list[int]]) -> _Orbit:
+    """Every conjugate of the subgroup ``members`` generated by ``gens``, itself
+    first; a conjugate's generators are ``gens`` under the same conjugation."""
+    orbit: dict[tuple[int, ...], tuple[int, ...]] = {}
+    todo = [(members, gens)]
+    for current, current_gens in todo:  # grows as new conjugates appear
+        key = tuple(sorted(current))
+        if key not in orbit:
+            orbit[key] = current_gens
+            todo += [([cmap[i] for i in current], tuple(cmap[g] for g in current_gens))
+                     for cmap in conj_maps]
+    return list(orbit.items())
 
 
-def _enumerate_subgroups(group: FiniteGroup) -> _Raw:
+def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
+    """The conjugation orbit of every conjugacy class of subgroups."""
     # One representative per conjugacy class is joined with every cyclic
     # subgroup; each new subgroup enters with its whole conjugation orbit.
     # Complete, by induction on K = <C1..Ck>: if <C1..Ci> = R^g for a
@@ -217,54 +218,48 @@ def _enumerate_subgroups(group: FiniteGroup) -> _Raw:
     n = group.order
     ident = group.identity_index
     half = n // 2
-    full_mask = (1 << n) - 1
+    full = tuple(range(n))
     conj_maps = _conjugation_maps(group)
 
-    cyclic_by_mask: dict[int, int] = {}
+    cyclic_by_mask: dict[int, tuple[list[int], int]] = {}
     for i in range(n):
         members = [ident]
         j = i
         while j != ident:
             members.append(j)
             j = group.mult(j, i)
-        cyclic_by_mask.setdefault(_mask(members), i)
+        cyclic_by_mask.setdefault(_mask(members), (members, i))
     cyclics = sorted(cyclic_by_mask.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
-    known: dict[int, tuple[int, ...]] = {1 << ident: ()}
-    for mask, gen in cyclics:
-        known.setdefault(mask, (gen,))
-    reps: list[int] = []
-    class_of: dict[int, int] = {}
+    orbits: list[_Orbit] = []
+    known: set[tuple[int, ...]] = set()
 
-    def add_class(mask: int) -> None:
-        """Record the conjugation orbit of ``mask``; new members get greedy gens."""
-        for image in _orbit(_members_of(mask), conj_maps):
-            class_of[image] = len(reps)
-            if image not in known:
-                known[image] = group.greedy_generator_indices(_members_of(image))
-        reps.append(mask)
+    def add_class(members: Sequence[int], gens: tuple[int, ...]) -> None:
+        orbit = _orbit(members, gens, conj_maps)
+        known.update(m for m, _ in orbit)
+        orbits.append(orbit)
 
-    for mask in list(known):
-        if mask not in class_of:
-            add_class(mask)
-    for hmask in reps:  # grows as joins find new classes
-        if hmask == full_mask:
+    add_class([ident], ())
+    for _, (members, gen) in cyclics:
+        if tuple(sorted(members)) not in known:
+            add_class(members, (gen,))
+    for orbit in orbits:  # grows as joins find new classes
+        hmembers, hgens = orbit[0]
+        if hmembers == full:
             continue
-        hgens = known[hmask]
-        for cmask, cgen in cyclics:
+        hmask = _mask(hmembers)
+        for cmask, (_, cgen) in cyclics:
             if cmask & hmask == cmask:
                 continue
             result = group.closure_indices(list(hgens) + [cgen], stop_above=half)
-            jmask = full_mask if result is None else _mask(result)
-            if jmask not in known:
-                known[jmask] = (group.generator_indices() if result is None
-                                else group.greedy_generator_indices(result))
-                add_class(jmask)
-    if full_mask not in known:
-        known[full_mask] = group.generator_indices()
-        class_of[full_mask] = len(reps)
-    return [(tuple(_members_of(mask)), tuple(gens), class_of[mask])
-            for mask, gens in known.items()]
+            if result is None:
+                if full not in known:
+                    add_class(full, group.generator_indices())
+            elif tuple(result) not in known:
+                add_class(result, group.greedy_generator_indices(result))
+    if full not in known:
+        add_class(full, group.generator_indices())
+    return orbits
 
 
 def _cache_path(group: FiniteGroup, cache_dir: str | os.PathLike) -> Path:
@@ -282,56 +277,54 @@ def _resolve_cache_dir(cache_dir: str | os.PathLike | None) -> Path | None:
     return Path(env) if env else None
 
 
-def _load_cached(group: FiniteGroup, path: Path) -> SubgroupLattice | None:
+def _load_cached(group: FiniteGroup, path: Path) -> list[_Orbit] | None:
+    """The orbits stored at ``path``, or None for a miss.
+
+    The file holds one generator list per conjugacy class; members and
+    conjugates are recomputed from it, so they cannot disagree with it.
+    """
     try:
         payload = json.loads(path.read_text("utf-8"))
     except (OSError, ValueError):
         return None
     if (
         not isinstance(payload, dict)
-        or payload.get("format_version") != 1
+        or payload.get("format_version") != 2
         or payload.get("degree") != group.degree
         or payload.get("order") != group.order
         or payload.get("generators") != [list(p.images) for p in group.generators]
     ):
         return None
-    members, gens = payload.get("members"), payload.get("gens")
-    # shape only: the first subgroup must be trivial and the last the group
-    if not (isinstance(members, list) and isinstance(gens, list)
-            and len(members) == len(gens)
-            and members[:1] == [[group.identity_index]]
-            and members[-1:] == [list(range(group.order))]):
-        return None
-    # the conjugacy class ids are not stored: recompute them, and treat a
-    # conjugate missing from the file as a miss
-    try:
-        masks = [_mask(m) for m in members]
-    except (TypeError, ValueError):
-        return None
-    if any(mask >> group.order for mask in masks):
+    classes = payload.get("classes")
+    if not (isinstance(classes, list) and all(
+            isinstance(gens, list)
+            and all(isinstance(g, int) and 0 <= g < group.order for g in gens)
+            for gens in classes)):
         return None
     conj_maps = _conjugation_maps(group)
-    class_of: dict[int, int] = dict.fromkeys(masks, -1)
-    classes = 0
-    for m, mask in zip(members, masks):
-        if class_of[mask] < 0:
-            for image in _orbit(m, conj_maps):
-                if image not in class_of:
-                    return None
-                class_of[image] = classes
-            classes += 1
-    raw = [(tuple(m), tuple(g), class_of[mask]) for m, g, mask in zip(members, gens, masks)]
-    return _finish_lattice(group, raw)
+    orbits: list[_Orbit] = []
+    known: set[tuple[int, ...]] = set()
+    for gens in classes:
+        orbit = _orbit(group.closure_indices(gens), tuple(gens), conj_maps)
+        if orbit[0][0] in known:  # two representatives of one class
+            return None
+        known.update(m for m, _ in orbit)
+        orbits.append(orbit)
+    if (len(known) != payload.get("subgroups")
+            or (group.identity_index,) not in known
+            or tuple(range(group.order)) not in known):
+        return None
+    return orbits
 
 
-def _save_cached(group: FiniteGroup, lattice: SubgroupLattice, path: Path) -> None:
+def _save_cached(group: FiniteGroup, orbits: list[_Orbit], path: Path) -> None:
     payload = {
-        "format_version": 1,
+        "format_version": 2,
         "degree": group.degree,
         "order": group.order,
         "generators": [list(p.images) for p in group.generators],
-        "members": [list(s.members) for s in lattice.subgroups],
-        "gens": [list(s.gens) for s in lattice.subgroups],
+        "classes": [list(orbit[0][1]) for orbit in orbits],
+        "subgroups": sum(map(len, orbits)),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     # write a private temp file beside the target, then rename it into
@@ -354,14 +347,12 @@ def all_subgroups(group: FiniteGroup, *, limits: Limits = DEFAULT_LIMITS,
         )
     directory = _resolve_cache_dir(cache_dir)
     path = _cache_path(group, directory) if directory else None
-    if path is not None and path.exists():
-        cached = _load_cached(group, path)
-        if cached is not None:
-            return cached
-    lattice = _finish_lattice(group, _enumerate_subgroups(group))
-    if path is not None:
-        _save_cached(group, lattice, path)
-    return lattice
+    orbits = _load_cached(group, path) if path is not None and path.exists() else None
+    if orbits is None:
+        orbits = _enumerate_subgroups(group)
+        if path is not None:
+            _save_cached(group, orbits, path)
+    return _finish_lattice(group, orbits)
 
 
 def is_maximal(group: FiniteGroup, sub: Subgroup) -> bool:

@@ -79,6 +79,13 @@ def test_from_relation_rejects_bad_orders():
         Poset.from_relation(3, [(0, 1), (1, 2)])
 
 
+def test_from_relation_rejects_out_of_range_pairs():
+    with pytest.raises(ValueError, match="out of range"):
+        Poset.from_relation(3, [(0, 5)])
+    with pytest.raises(ValueError, match="out of range"):
+        Poset.from_relation(3, [(-1, 0)])
+
+
 def test_refine_antichain_single_color():
     assert len(set(refine(ANTICHAIN3))) == 1
 

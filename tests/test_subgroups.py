@@ -105,7 +105,9 @@ def test_enumeration_work_count_psl27(monkeypatch):
 
     group = psl2(7)
     monkeypatch.setattr(FiniteGroup, "closure_indices", counting)
-    assert len(subgroups._enumerate_subgroups(group)) == 179
+    orbits = subgroups._enumerate_subgroups(group)
+    assert len(orbits) == 15
+    assert sum(map(len, orbits)) == 179
     assert calls <= 2000
 
 
@@ -131,10 +133,12 @@ def test_class_of_survives_cache_load(tmp_path):
     for spec in catalog_specs():
         group = spec.build()
         fresh = all_subgroups(group, cache_dir=tmp_path)
-        loaded = subgroups._load_cached(group, subgroups._cache_path(group, tmp_path))
-        assert loaded is not None, spec.name
+        orbits = subgroups._load_cached(group, subgroups._cache_path(group, tmp_path))
+        assert orbits is not None, spec.name
+        loaded = subgroups._finish_lattice(group, orbits)
         assert loaded.class_of == fresh.class_of, spec.name
-        assert [s.members for s in loaded.subgroups] == [s.members for s in fresh.subgroups]
+        assert [(s.members, s.gens) for s in loaded.subgroups] == \
+            [(s.members, s.gens) for s in fresh.subgroups], spec.name
 
 
 def test_lagrange_for_every_subgroup():
@@ -496,37 +500,59 @@ def test_lattice_cache_leaves_only_lattice_files(tmp_path):
     assert all(name.startswith("lattice-") and name.endswith(".json") for name in names)
 
 
-def _drop_members(payload):
-    del payload["members"]
+def _drop_classes(payload):
+    del payload["classes"]
     return payload
 
 
-def _cut_gens(payload):
-    payload["gens"] = payload["gens"][:5]
+def _cut_classes(payload):
+    payload["classes"] = payload["classes"][:5]
     return payload
 
 
-def _drop_conjugate(payload):
-    # S4's subgroup 1 has order 2, and each of its classes has 3 or 6 members
-    del payload["members"][1]
-    del payload["gens"][1]
+def _drop_class(payload):
+    # S4's class 1 is a class of order-2 subgroups; only the count can tell it is gone
+    del payload["classes"][1]
     return payload
+
+
+def _conjugate_representatives(payload):
+    # a second representative for class 1, conjugate to the first
+    group = symmetric(4)
+    g = payload["classes"][1][0]
+    payload["classes"].append([next(h for h in (group.conjugate_index(g, c) for c in range(24))
+                                    if h != g)])
+    return payload
+
+
+def _drop_class_generating(order):
+    # the trivial subgroup and the whole group are classes of one subgroup
+    # each, so lowering the count keeps it consistent
+    def corrupt(payload):
+        group = symmetric(4)
+        payload["classes"] = [gens for gens in payload["classes"]
+                              if len(group.closure_indices(gens)) != order]
+        payload["subgroups"] -= 1
+        return payload
+    return corrupt
 
 
 def _member_out_of_range(payload):
-    payload["members"][1] = [0, 24]
+    payload["classes"][1] = [0, 24]
     return payload
 
 
 def _member_not_int(payload):
-    payload["members"][1] = [0, "1"]
+    payload["classes"][1] = [0, "1"]
     return payload
 
 
 @pytest.mark.parametrize("corrupt",
-                         [lambda payload: [payload], _drop_members, _cut_gens, _drop_conjugate,
-                          _member_out_of_range, _member_not_int],
-                         ids=["list-payload", "no-members", "cut-gens", "missing-conjugate",
+                         [lambda payload: [payload], _drop_classes, _cut_classes, _drop_class,
+                          _conjugate_representatives, _drop_class_generating(1),
+                          _drop_class_generating(24), _member_out_of_range, _member_not_int],
+                         ids=["list-payload", "no-members", "cut-gens", "dropped-class",
+                              "conjugate-representatives", "no-trivial", "no-whole-group",
                               "member-out-of-range", "member-not-int"])
 def test_lattice_cache_rejects_malformed_file(tmp_path, corrupt):
     group = symmetric(4)
@@ -544,10 +570,39 @@ def test_lattice_cache_rejects_malformed_file(tmp_path, corrupt):
     assert path.read_bytes() == good
 
 
+def test_lattice_cache_rewrites_version_1_file(tmp_path):
+    # the earlier format stored every subgroup's members and generators
+    group = symmetric(4)
+    fresh = all_subgroups(group)
+    path = subgroups._cache_path(group, tmp_path)
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "degree": group.degree,
+        "order": group.order,
+        "generators": [list(p.images) for p in group.generators],
+        "members": [list(s.members) for s in fresh.subgroups],
+        "gens": [list(s.gens) for s in fresh.subgroups],
+    }), "utf-8")
+    assert subgroups._load_cached(group, path) is None
+    lattice = all_subgroups(group, cache_dir=tmp_path)
+    assert [(s.members, s.gens) for s in lattice.subgroups] == \
+        [(s.members, s.gens) for s in fresh.subgroups]
+    assert json.loads(path.read_text("utf-8"))["format_version"] == 2
+
+
+def test_lattice_cache_stores_one_generator_list_per_class(tmp_path, psl27):
+    all_subgroups(psl27, cache_dir=tmp_path)
+    payload = json.loads(subgroups._cache_path(psl27, tmp_path).read_text("utf-8"))
+    assert len(payload["classes"]) == 15
+    assert payload["subgroups"] == 179
+    assert "members" not in payload
+
+
 @pytest.mark.parametrize("failure", ["torn-write", "failed-rename"])
 def test_lattice_cache_write_is_atomic(tmp_path, monkeypatch, failure):
     group = symmetric(3)
-    lattice = all_subgroups(group, cache_dir=tmp_path)
+    all_subgroups(group, cache_dir=tmp_path)
+    orbits = subgroups._enumerate_subgroups(group)
     path = subgroups._cache_path(group, tmp_path)
     before = path.read_bytes()
 
@@ -564,7 +619,7 @@ def test_lattice_cache_write_is_atomic(tmp_path, monkeypatch, failure):
     else:
         monkeypatch.setattr(os, "replace", failed_rename)
     with pytest.raises(OSError):
-        subgroups._save_cached(group, lattice, path)
+        subgroups._save_cached(group, orbits, path)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
