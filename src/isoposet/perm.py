@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
@@ -250,43 +250,36 @@ class FiniteGroup:
         return f"<{label}: order {self.order}, degree {self.degree}>"
 
 
-def closure(
-    degree: int,
-    generators: Sequence[Permutation],
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-    name: str | None = None,
-) -> FiniteGroup:
-    """Enumerate the group generated by ``generators`` on ``degree`` points.
+def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of a applied first, then b."""
+    return tuple([b[x] for x in a])
 
-    Discovery order is breadth-first from the identity with generators
-    applied in input order, so two runs with identical inputs produce
-    identical element orderings.
+
+def _close(identity: Hashable, gens: Sequence[Hashable],
+           mul: Callable[[Hashable, Hashable], Hashable], limits: Limits,
+           ) -> tuple[list, tuple[tuple[int, ...], ...] | None]:
+    """Breadth-first closure of ``gens`` under ``mul``, and its Cayley table.
+
+    Elements are any hashable keys: ``mul(a, b)`` is the key of a*b.
+    Discovery order starts at ``identity`` and applies the generators in
+    input order, so equal inputs give equal orderings.
 
     Within ``cayley_cap`` the Cayley table is built from rows already
     built: each element c other than the identity was first reached as
     c = a*g from an earlier element a and a generator g, so
     c*x = a*(g*x) and row c is row a read through g's left-multiplication
-    column.  Only those columns are found by hashing products, n*|gens|
-    lookups instead of n*n.
+    column.  Only those columns take ``mul`` calls, n*|gens| instead of n*n.
     """
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    for g in generators:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} does not match {degree}")
-    gen_images = [g.images for g in generators]
-    identity = tuple(range(degree))
-    index: dict[tuple[int, ...], int] = {identity: 0}
-    elems: list[tuple[int, ...]] = [identity]
-    parents: list[tuple[int, int]] = []  # (a, k) for elems[1:]: a * generators[k]
+    index = {identity: 0}
+    elems = [identity]
+    parents: list[tuple[int, int]] = []  # (a, k) for elems[1:]: a * gens[k]
     frontier = [0]
     while frontier:
         nxt = []
         for ai in frontier:
             a = elems[ai]
-            for k, b in enumerate(gen_images):
-                c = tuple(b[x] for x in a)
+            for k, b in enumerate(gens):
+                c = mul(a, b)
                 if c not in index:
                     index[c] = len(elems)
                     nxt.append(len(elems))
@@ -298,15 +291,38 @@ def closure(
                 f"(element cap {limits.element_cap})"
             )
         frontier = nxt
-    table = None
-    if len(elems) <= limits.cayley_cap:
-        # left[k][j] is the index of generators[k] * elems[j]
-        left = [[index[tuple(e[y] for y in b)] for e in elems] for b in gen_images]
-        rows = [tuple(range(len(elems)))]
-        for ai, k in parents:
-            row = rows[ai]
-            rows.append(tuple([row[y] for y in left[k]]))
-        table = tuple(rows)
+    if len(elems) > limits.cayley_cap:
+        return elems, None
+    # left[k][j] is the index of gens[k] * elems[j]
+    left = [[index[mul(b, e)] for e in elems] for b in gens]
+    rows = [tuple(range(len(elems)))]
+    for ai, k in parents:
+        row = rows[ai]
+        rows.append(tuple([row[y] for y in left[k]]))
+    return elems, tuple(rows)
+
+
+def closure(
+    degree: int,
+    generators: Sequence[Permutation],
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+    name: str | None = None,
+) -> FiniteGroup:
+    """Enumerate the group generated by ``generators`` on ``degree`` points.
+
+    Discovery order is breadth-first from the identity with generators
+    applied in input order, so two runs with identical inputs produce
+    identical element orderings.  The Cayley table is built within
+    ``cayley_cap``.
+    """
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    for g in generators:
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} does not match {degree}")
+    elems, table = _close(tuple(range(degree)), [g.images for g in generators],
+                          _product, limits)
     return FiniteGroup(
         degree=degree,
         generators=tuple(generators),
@@ -315,6 +331,34 @@ def closure(
         cayley_table=table,
         name=name,
     )
+
+
+def realize(parent: FiniteGroup, gens: Sequence[int], *,
+            limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+    """The subgroup of ``parent`` generated by the element indices ``gens``,
+    as a standalone group.
+
+    The result equals ``closure(parent.degree, [parent.elements[g] for g in
+    gens])`` element for element, with the same caps, but it is walked over
+    parent indices through ``parent.mult``, reuses the parent's
+    permutations, and takes its element orders from the parent's when the
+    parent has a Cayley table (a parent without one is too large to order
+    every element for the sake of one subgroup).
+    """
+    keys, table = _close(parent.identity_index, gens, parent.mult, limits)
+    elements = parent.elements
+    group = FiniteGroup(
+        degree=parent.degree,
+        generators=tuple(elements[g] for g in gens),
+        elements=tuple(elements[i] for i in keys),
+        identity_index=0,
+        cayley_table=table,
+    )
+    if parent.cayley_table is not None:
+        orders = parent.element_orders
+        # fills the cached_property, as its first read would
+        object.__setattr__(group, "element_orders", tuple(orders[i] for i in keys))
+    return group
 
 
 def element_order(group: FiniteGroup, i: int) -> int:

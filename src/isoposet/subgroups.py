@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .invariants import Fingerprint, conjugacy_classes, derived_subgroup_indices, fingerprint
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
-from .perm import FiniteGroup, Permutation, closure, element_order
+from .perm import FiniteGroup, Permutation, closure, element_order, realize
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +48,9 @@ class Subgroup:
         return other.mask & self.mask == other.mask
 
     def as_group(self, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
-        """Standalone FiniteGroup realization on the parent's points."""
-        gens = [self.parent.elements[g] for g in self.gens]
-        return closure(self.parent.degree, gens, limits=limits)
+        """Standalone FiniteGroup realization on the parent's points, read
+        off the parent's multiplication (equal to closing ``gens`` anew)."""
+        return realize(self.parent, self.gens, limits=limits)
 
     def __repr__(self) -> str:
         return f"<Subgroup of order {self.order} in {self.parent!r}>"

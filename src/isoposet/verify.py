@@ -492,8 +492,10 @@ def scan(orders: list[int], *, limits: Limits = DEFAULT_LIMITS,
 
     Groups entries by canonical digest and reports the collision classes;
     every colliding pair is labeled with whether the node order shapes
-    match and whether the groups themselves are isomorphic.
+    match and whether the groups themselves are isomorphic.  A repeated
+    order is scanned once, at its first position.
     """
+    orders = list(dict.fromkeys(orders))
     entries: list[ScanEntry] = []
     built: dict[str, tuple[FiniteGroup, IsoPoset]] = {}
     for order in orders:

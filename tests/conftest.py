@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from isoposet import all_subgroups, alternating, psl2, sl2_5
@@ -7,6 +9,27 @@ from isoposet import all_subgroups, alternating, psl2, sl2_5
 def cache_dir(tmp_path_factory):
     """Shared lattice cache so expensive enumerations run once per session."""
     return str(tmp_path_factory.mktemp("lattice-cache"))
+
+
+@pytest.fixture
+def call_counter(monkeypatch):
+    """``call_counter(owner, name, key=None)`` wraps ``owner.name`` through
+    monkeypatch and returns a Counter of its calls: keyed by
+    ``key(*args, **kwargs)``, or all under ``name`` when no key is given.
+    The wrapper is a plain function, so a wrapped method stays a method."""
+
+    def install(owner, name, key=None):
+        calls = Counter()
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name if key is None else key(*args, **kwargs)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -73,15 +73,8 @@ def test_fingerprint_as_dict_is_json_ready():
     assert payload["class_sizes"] == [1, 2, 3]
 
 
-def test_element_orders_computed_once(monkeypatch):
-    calls = Counter()
-    order = Permutation.order
-
-    def counting(self):
-        calls["order"] += 1
-        return order(self)
-
-    monkeypatch.setattr(Permutation, "order", counting)
+def test_element_orders_computed_once(call_counter):
+    calls = call_counter(Permutation, "order")
     g = symmetric(4)
     fingerprint(g)
     assert find_isomorphism(g, g) is not None
@@ -225,16 +218,20 @@ def test_classify_matches_per_subgroup_oracle(cache_dir):
         assert classify_with_data(group, lattice) == oracle_classify(group, lattice), spec.name
 
 
-def test_classify_realizes_one_subgroup_per_conjugacy_class(psl27, psl27_lattice, monkeypatch):
-    calls = 0
-    as_group = Subgroup.as_group
-
-    def counting(self, **kwargs):
-        nonlocal calls
-        calls += 1
-        return as_group(self, **kwargs)
-
-    monkeypatch.setattr(Subgroup, "as_group", counting)
+def test_classify_realizes_one_subgroup_per_conjugacy_class(psl27, psl27_lattice, call_counter):
+    calls = call_counter(Subgroup, "as_group")
     classify_with_data(psl27, psl27_lattice)
-    assert calls == 15  # one per conjugacy class; 179 subgroups
+    assert calls["as_group"] == 15  # one per conjugacy class; 179 subgroups
     assert len(set(psl27_lattice.class_of)) == 15
+
+
+def test_classify_reads_element_data_from_the_parent(call_counter):
+    # a fresh PSL(2,7), so its own 168 orders are counted too; realizing
+    # the 15 class representatives rebuilds no permutation and orders none
+    group = psl2(7)
+    lattice = all_subgroups(group)
+    orders = call_counter(Permutation, "order")
+    built = call_counter(Permutation, "__post_init__")
+    classify_with_data(group, lattice)
+    assert built["__post_init__"] == 0
+    assert orders["order"] <= group.order

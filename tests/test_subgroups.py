@@ -12,6 +12,7 @@ from isoposet import (
     ResourceLimitError,
     all_subgroups,
     alternating,
+    closure,
     are_isomorphic,
     composition_factors,
     conjugate_subgroup,
@@ -92,23 +93,81 @@ def test_subgroup_gens_generate_members():
             assert oracle_closure(group, sub.gens) == frozenset(sub.members), spec.name
 
 
-def test_enumeration_work_count_psl27(monkeypatch):
+def _a5_squared_copies():
+    """A5xA5 (no Cayley table) with its diagonal and left copy of A5."""
+    a5 = alternating(5)
+    product = direct_product(a5, a5)
+    ident = tuple(range(a5.degree))
+
+    def embed(first, second):
+        return product.index_of(Permutation(first + tuple(a5.degree + x for x in second)))
+
+    diagonal = subgroup_generated_by(product, [embed(g.images, g.images) for g in a5.generators])
+    left = subgroup_generated_by(product, [embed(g.images, ident) for g in a5.generators])
+    return product, diagonal, left
+
+
+def _assert_same_group(realized, closed):
+    assert realized.elements == closed.elements
+    assert realized.generators == closed.generators
+    assert realized.cayley_table == closed.cayley_table
+    assert realized.element_orders == closed.element_orders
+    assert ([realized.inverse_index(i) for i in range(realized.order)]
+            == [closed.inverse_index(i) for i in range(closed.order)])
+
+
+def test_as_group_equals_closure(cache_dir):
+    # a subgroup read off its parent's table is the group closure() builds
+    for spec in catalog_specs():
+        group = spec.build()
+        for sub in all_subgroups(group, cache_dir=cache_dir).subgroups:
+            closed = closure(group.degree, [group.elements[g] for g in sub.gens])
+            _assert_same_group(sub.as_group(), closed)
+    product, diagonal, left = _a5_squared_copies()
+    assert product.cayley_table is None
+    for sub in (diagonal, left):
+        _assert_same_group(sub.as_group(),
+                           closure(product.degree, [product.elements[g] for g in sub.gens]))
+
+
+def test_as_group_keeps_closure_caps():
+    group = symmetric(4)
+    whole = subgroup_generated_by(group, group.generator_indices())
+    gens = list(group.generators)
+    small = Limits(element_cap=10)
+    with pytest.raises(ResourceLimitError) as realized:
+        whole.as_group(limits=small)
+    with pytest.raises(ResourceLimitError) as closed:
+        closure(group.degree, gens, limits=small)
+    assert str(realized.value) == str(closed.value)
+    no_table = Limits(cayley_cap=10)
+    assert whole.as_group(limits=no_table).cayley_table is None
+    _assert_same_group(whole.as_group(limits=no_table),
+                       closure(group.degree, gens, limits=no_table))
+
+
+def test_as_group_without_parent_table_orders_only_its_elements(call_counter):
+    # A5xA5 has no table: its 3600 element orders must not be computed
+    # to realize a 60-element subgroup, and no permutation is rebuilt
+    _, _, left = _a5_squared_copies()
+    expected = sorted(alternating(5).element_orders)
+    orders = call_counter(Permutation, "order")
+    built = call_counter(Permutation, "__post_init__")
+    realized = left.as_group()
+    assert sorted(realized.element_orders) == expected
+    assert orders["order"] <= 60
+    assert built["__post_init__"] == 0
+
+
+def test_enumeration_work_count_psl27(call_counter):
     # a deterministic count, so it guards the cost without a timing bound:
     # one join per conjugacy-class representative and cyclic subgroup
-    calls = 0
-    closure_indices = FiniteGroup.closure_indices
-
-    def counting(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return closure_indices(self, *args, **kwargs)
-
     group = psl2(7)
-    monkeypatch.setattr(FiniteGroup, "closure_indices", counting)
+    calls = call_counter(FiniteGroup, "closure_indices")
     orbits = subgroups._enumerate_subgroups(group)
     assert len(orbits) == 15
     assert sum(map(len, orbits)) == 179
-    assert calls <= 2000
+    assert calls["closure_indices"] <= 2000
 
 
 def test_lattice_contains_trivial_and_full(a5_lattice):
@@ -346,21 +405,13 @@ def test_normal_structure_above_enum_cap(a5):
     assert composition_factors(product) == (fingerprint(a5), fingerprint(a5))
 
 
-def test_normal_subgroups_close_each_class_once(a5, monkeypatch):
+def test_normal_subgroups_close_each_class_once(a5, call_counter):
     product = direct_product(a5, a5)
-    calls = 0
-    normal_closure_indices = FiniteGroup.normal_closure_indices
-
-    def counting(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return normal_closure_indices(self, *args, **kwargs)
-
     classes = len(conjugacy_classes(product))
-    monkeypatch.setattr(FiniteGroup, "normal_closure_indices", counting)
+    calls = call_counter(FiniteGroup, "normal_closure_indices")
     normals = normal_subgroups(product)
     # one closure per conjugacy class, plus at most one per join
-    assert calls <= classes + len(normals)
+    assert calls["normal_closure_indices"] <= classes + len(normals)
 
 
 def test_normal_closure_indices():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
-from collections import Counter
+
+import pytest
 
 from isoposet import (
     build_iso_poset,
@@ -51,35 +52,21 @@ def test_verify_psl27_statuses(cache_dir):
     assert by_id["psl27.no-maximal-order-15"].evidence["SL(2,5)"]["has_order_15_subgroup"] is False
 
 
-def test_verify_psl27_enumerates_each_group_once(monkeypatch):
+def test_verify_psl27_enumerates_each_group_once(monkeypatch, call_counter):
     # with no cache dir, the trio's lattices are shared between the
     # no-maximal-order-15 and composition-factors claims, not rebuilt
     monkeypatch.delenv("ISOPOSET_CACHE_DIR", raising=False)
-    calls = Counter()
-    enumerate_subgroups = subgroups._enumerate_subgroups
-
-    def counting(group):
-        calls[group.name] += 1
-        return enumerate_subgroups(group)
-
-    monkeypatch.setattr(subgroups, "_enumerate_subgroups", counting)
+    calls = call_counter(subgroups, "_enumerate_subgroups", key=lambda group: group.name)
     verify_psl27()
     for name in ("S5", "A5xZ2", "SL(2,5)"):
         assert calls[name] == 1, (name, calls)
 
 
-def test_normal_structure_enumerates_no_lattice(monkeypatch, sl25):
+def test_normal_structure_enumerates_no_lattice(monkeypatch, sl25, call_counter):
     # normal subgroups come from conjugacy classes; only the claims that
     # read a lattice enumerate one
     monkeypatch.delenv("ISOPOSET_CACHE_DIR", raising=False)
-    calls = Counter()
-    enumerate_subgroups = subgroups._enumerate_subgroups
-
-    def counting(group):
-        calls[group.name] += 1
-        return enumerate_subgroups(group)
-
-    monkeypatch.setattr(subgroups, "_enumerate_subgroups", counting)
+    calls = call_counter(subgroups, "_enumerate_subgroups", key=lambda group: group.name)
     composition_factors(sl25)
     is_simple(sl25)
     normal_subgroups(sl25)
@@ -309,6 +296,20 @@ def test_cli_scan(capsys, cache_dir):
 
 def test_cli_scan_bad_orders(capsys):
     assert main(["scan", "--orders", "sixty"]) == 2
+
+
+@pytest.mark.parametrize("orders", ["0", "-4", "6,0"])
+def test_cli_scan_rejects_orders_below_one(capsys, orders):
+    assert main(["scan", "--orders", orders]) == 2
+    assert "bad --orders value" in capsys.readouterr().err
+
+
+def test_scan_repeated_order_scans_once(cache_dir):
+    report = scan([5, 6, 5], cache_dir=cache_dir)
+    assert report.orders == (5, 6)
+    assert [e.name for e in report.entries] == ["Z5", "Z6", "S3"]
+    # Z5 once, so it cannot collide with itself; Z6 and S3 still do
+    assert [c["groups"] for c in report.collisions] == [["Z6", "S3"]]
 
 
 def test_cli_unknown_group(capsys):
