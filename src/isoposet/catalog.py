@@ -114,11 +114,6 @@ def semidirect_cyclic(n: int, m: int, k: int, *, limits: Limits = DEFAULT_LIMITS
     return closure(n, [shift, mul], limits=limits, name=name or f"Z{n}:Z{m}")
 
 
-def frobenius21(*, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
-    """The nonabelian group of order 21 (Z7 semidirect Z3) on 7 points."""
-    return semidirect_cyclic(7, 3, 2, limits=limits, name="F21")
-
-
 def dicyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Dicyclic group of order 4n (Q8 for n=2) in its regular action.
 
@@ -188,7 +183,6 @@ _BUILDERS = {
     "alternating": lambda p, lim: alternating(p[0], limits=lim),
     "psl2": lambda p, lim: psl2(p[0], limits=lim),
     "sl2_5": lambda p, lim: sl2_5(limits=lim),
-    "frobenius21": lambda p, lim: frobenius21(limits=lim),
     "dicyclic": lambda p, lim: dicyclic(p[0], limits=lim),
     "semidirect_cyclic": lambda p, lim: semidirect_cyclic(p[0], p[1], p[2], limits=lim),
 }
@@ -250,7 +244,7 @@ _SPECIAL_NAMES = {
     "V4": GroupSpec("V4", "product", ("Z2", "Z2")),
     "Q8": GroupSpec("Q8", "dicyclic", (2,)),
     "F20": GroupSpec("F20", "semidirect_cyclic", (5, 4, 2)),
-    "F21": GroupSpec("F21", "frobenius21"),
+    "F21": GroupSpec("F21", "semidirect_cyclic", (7, 3, 2)),
     "PSL(2,5)": GroupSpec("PSL(2,5)", "psl2", (5,)),
     "PSL(2,7)": GroupSpec("PSL(2,7)", "psl2", (7,)),
     "SL(2,5)": GroupSpec("SL(2,5)", "sl2_5"),

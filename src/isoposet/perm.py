@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, ClassVar, Hashable, Iterable, Sequence
 
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
@@ -62,9 +62,6 @@ class Permutation:
             inv[y] = x
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition, each cycle led by its least point."""
         out = []
@@ -93,45 +90,43 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
+def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of a applied first, then b."""
+    return tuple([b[x] for x in a])
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p first, then q: the result maps x to q(p(x))."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    qi = q.images
-    return Permutation(tuple(qi[x] for x in p.images))
+    return Permutation(_product(p.images, q.images))
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite permutation group with every element enumerated.
 
-    Elements sit in deterministic BFS discovery order (identity first,
-    generators applied in input order).  Instances are immutable and all
-    operations on them are pure, so groups can be shared freely across
-    threads.  Construct through :func:`closure` or the catalog module.
+    Elements sit in deterministic BFS discovery order: the identity at
+    index 0, then the generators applied in input order.  Inverses are
+    read off the Cayley table where there is one.  Instances are
+    immutable and all operations on them are pure, so groups can be
+    shared freely across threads.  Construct through :func:`closure` or
+    the catalog module.
     """
+
+    identity_index: ClassVar[int] = 0
 
     degree: int
     generators: tuple[Permutation, ...]
     elements: tuple[Permutation, ...]
-    identity_index: int
     cayley_table: tuple[tuple[int, ...], ...] | None
     name: str | None = None
 
     def __post_init__(self) -> None:
-        images = [p.images for p in self.elements]
-        index = {img: i for i, img in enumerate(images)}
-        if len(index) != len(images):
+        index = {p.images: i for i, p in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise ValueError("duplicate elements")
-        inverses = []
-        for img in images:
-            inv = [0] * self.degree
-            for x, y in enumerate(img):
-                inv[y] = x
-            inverses.append(index[tuple(inv)])
-        object.__setattr__(self, "_images", images)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_inverses", inverses)
 
     @property
     def order(self) -> int:
@@ -151,9 +146,15 @@ class FiniteGroup:
         """Index of elements[i] * elements[j] (elements[i] applied first)."""
         if self.cayley_table is not None:
             return self.cayley_table[i][j]
-        a = self._images[i]
-        b = self._images[j]
-        return self._index[tuple([b[x] for x in a])]
+        return self._index[_product(self.elements[i].images, self.elements[j].images)]
+
+    @cached_property
+    def _inverses(self) -> tuple[int, ...]:
+        """Index of every element's inverse: the column where its Cayley
+        table row holds the identity, or else its inverse permutation's."""
+        if self.cayley_table is not None:
+            return tuple([row.index(self.identity_index) for row in self.cayley_table])
+        return tuple([self._index[p.inverse().images] for p in self.elements])
 
     def inverse_index(self, i: int) -> int:
         return self._inverses[i]
@@ -185,21 +186,13 @@ class FiniteGroup:
         while frontier:
             nxt = []
             for x in frontier:
-                if table is not None:
-                    row = table[x]
-                    for g in gens:
-                        y = row[g]
-                        if not seen[y]:
-                            seen[y] = 1
-                            members.append(y)
-                            nxt.append(y)
-                else:
-                    for g in gens:
-                        y = self.mult(x, g)
-                        if not seen[y]:
-                            seen[y] = 1
-                            members.append(y)
-                            nxt.append(y)
+                row = table[x] if table is not None else {g: self.mult(x, g) for g in gens}
+                for g in gens:
+                    y = row[g]
+                    if not seen[y]:
+                        seen[y] = 1
+                        nxt.append(y)
+            members += nxt
             if stop_above is not None and len(members) > stop_above:
                 return None
             frontier = nxt
@@ -248,11 +241,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
         return f"<{label}: order {self.order}, degree {self.degree}>"
-
-
-def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Images of a applied first, then b."""
-    return tuple([b[x] for x in a])
 
 
 def _close(identity: Hashable, gens: Sequence[Hashable],
@@ -327,7 +315,6 @@ def closure(
         degree=degree,
         generators=tuple(generators),
         elements=tuple(Permutation(e) for e in elems),
-        identity_index=0,
         cayley_table=table,
         name=name,
     )
@@ -351,7 +338,6 @@ def realize(parent: FiniteGroup, gens: Sequence[int], *,
         degree=parent.degree,
         generators=tuple(elements[g] for g in gens),
         elements=tuple(elements[i] for i in keys),
-        identity_index=0,
         cayley_table=table,
     )
     if parent.cayley_table is not None:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import isoposet
 from isoposet import (
     ResourceLimitError,
     Limits,
@@ -14,7 +15,6 @@ from isoposet import (
     dihedral,
     direct_product,
     element_order,
-    frobenius21,
     group_from_name,
     is_simple,
     is_solvable,
@@ -94,15 +94,16 @@ def test_sl2_5_has_no_order_15_element(sl25):
 
 
 def test_frobenius21():
-    f = frobenius21()
+    f = group_from_name("F21")
     assert f.order == 21
+    assert spec_from_name("F21") in catalog_for_order(21).specs  # parser and catalog agree
     a, b = (f.index_of(g) for g in f.generators)
     commutator = f.mult(f.mult(f.inverse_index(a), f.inverse_index(b)), f.mult(a, b))
     assert commutator != f.identity_index  # nonabelian
 
 
 def test_frobenius21_sits_inside_psl27(psl27_lattice):
-    f = frobenius21()
+    f = group_from_name("F21")
     copies = [s for s in psl27_lattice.subgroups if s.order == 21]
     assert copies
     assert all(are_isomorphic(s.as_group(), f) for s in copies)
@@ -188,3 +189,7 @@ def test_group_from_name_rejects_unknown():
         group_from_name("E8")
     with pytest.raises(ValueError):
         spec_from_name("Zx")
+
+
+def test_every_export_resolves():
+    assert [name for name in isoposet.__all__ if not hasattr(isoposet, name)] == []

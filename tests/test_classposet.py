@@ -10,7 +10,6 @@ from isoposet import (
     dicyclic,
     dihedral,
     downset,
-    frobenius21,
     group_from_name,
     maximal_nontop_classes,
     order_shape,
@@ -108,7 +107,7 @@ def test_downset_a4_node_matches_standalone(a5, a5_lattice):
     lambda: symmetric(4),
     lambda: dicyclic(3),
     lambda: dihedral(20),
-    lambda: frobenius21(),
+    lambda: group_from_name("F21"),
     lambda: group_from_name("A4xZ5"),
 ])
 def test_poset_axioms_and_divisibility(build):

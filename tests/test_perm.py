@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from isoposet import (
     DEFAULT_LIMITS,
+    FiniteGroup,
     Limits,
     Permutation,
     ResourceLimitError,
@@ -76,7 +77,7 @@ def test_closure_cyclic_generator():
 def test_closure_empty_generators():
     g = closure(1, [])
     assert g.order == 1
-    assert g.elements[g.identity_index].is_identity()
+    assert g.elements[g.identity_index] == Permutation.identity(1)
 
 
 def test_closure_a5_order():
@@ -181,16 +182,27 @@ def test_compose_is_associative(triple):
 @given(permutations())
 @settings(max_examples=150, deadline=None)
 def test_inverse_cancels(p):
-    assert compose(p, p.inverse()).is_identity()
-    assert compose(p.inverse(), p).is_identity()
+    assert compose(p, p.inverse()) == Permutation.identity(p.degree)
+    assert compose(p.inverse(), p) == Permutation.identity(p.degree)
 
 
-def test_inverse_correct_on_whole_groups():
-    for g in (symmetric(4), dihedral(10), cyclic(12)):
+def test_inverse_correct_on_whole_groups(psl27_lattice):
+    tableless = closure(4, symmetric(4).generators, limits=Limits(cayley_cap=10))
+    assert tableless.cayley_table is None
+    realized = next(s for s in psl27_lattice.subgroups if s.order == 24).as_group()
+    assert realized.cayley_table is not None
+    for g in (symmetric(4), dihedral(10), cyclic(12), tableless, realized):
         for i in range(g.order):
             j = g.inverse_index(i)
             assert g.mult(i, j) == g.identity_index
             assert g.mult(j, i) == g.identity_index
+
+
+def test_finite_group_rejects_repeated_elements():
+    c = perm((0, 1, 2), degree=3)
+    with pytest.raises(ValueError, match="duplicate elements"):
+        FiniteGroup(degree=3, generators=(c,), elements=(Permutation.identity(3), c, c),
+                    cayley_table=None)
 
 
 def test_closure_tolerates_duplicate_generators():

@@ -24,7 +24,6 @@ from isoposet import (
     direct_product,
     element_order,
     fingerprint,
-    frobenius21,
     has_subgroup_of_order,
     is_maximal,
     is_normal,
@@ -325,12 +324,12 @@ def test_derived_series_s4():
 
 
 def test_derived_series_frobenius21():
-    assert [s.order for s in derived_series(frobenius21())] == [21, 7, 1]
+    assert [s.order for s in derived_series(group_from_name("F21"))] == [21, 7, 1]
 
 
 def test_solvability():
     assert is_solvable(symmetric(4))
-    assert is_solvable(frobenius21())
+    assert is_solvable(group_from_name("F21"))
     assert not is_solvable(alternating(5))
     assert not is_solvable(psl2(5))
 
