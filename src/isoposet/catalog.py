@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
+from math import gcd
 
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup, Permutation, closure
@@ -90,6 +91,23 @@ def sl2_5(*, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     return closure(24, [t, s], limits=limits, name="SL(2,5)")
 
 
+def _multiplicative_order(k: int, n: int) -> int:
+    """Order of k in the units mod n; k must be invertible mod n."""
+    order, acc = 1, k % n
+    while acc != 1:
+        acc = acc * k % n
+        order += 1
+    return order
+
+
+def _least_multiplier(n: int, m: int) -> int:
+    """The least k with multiplicative order exactly m mod n."""
+    for k in range(1, n):
+        if gcd(k, n) == 1 and _multiplicative_order(k, n) == m:
+            return k
+    raise ValueError(f"no multiplier has order {m} mod {n}")
+
+
 def semidirect_cyclic(n: int, m: int, k: int, *, limits: Limits = DEFAULT_LIMITS,
                       name: str | None = None) -> FiniteGroup:
     """Zn semidirect Zm on n points, generated by x -> x+1 and x -> k*x mod n.
@@ -97,16 +115,11 @@ def semidirect_cyclic(n: int, m: int, k: int, *, limits: Limits = DEFAULT_LIMITS
     Requires k to have multiplicative order exactly m mod n, which makes the
     action faithful and the group order n*m.
     """
-    from math import gcd
-
     if n < 2 or m < 1:
         raise ValueError(f"invalid semidirect parameters n={n}, m={m}")
     if gcd(k, n) != 1:
         raise ValueError(f"multiplier {k} is not invertible mod {n}")
-    ord_k, acc = 1, k % n
-    while acc != 1:
-        acc = acc * k % n
-        ord_k += 1
+    ord_k = _multiplicative_order(k, n)
     if ord_k != m:
         raise ValueError(f"multiplier {k} has order {ord_k} mod {n}, expected {m}")
     shift = Permutation(tuple((i + 1) % n for i in range(n)))
@@ -150,20 +163,24 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, limits: Limits = DEFAULT_L
     return closure(degree, gens, limits=limits, name=name)
 
 
-def trivial(*, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
-    return cyclic(1, limits=limits)
-
-
 @dataclass(frozen=True)
 class GroupSpec:
-    """A named, reproducible group construction."""
+    """A named, reproducible group construction, parsed by ``spec_from_name``.
+
+    ``kind`` is a key of ``_KINDS`` with its integer ``params``, or
+    ``"product"`` with the names of the two factors.
+    """
 
     name: str
     kind: str
     params: tuple = ()
 
     def build(self, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
-        return _build_spec(self, limits)
+        if self.kind == "product":
+            left, right = (group_from_name(p, limits=limits) for p in self.params)
+            return direct_product(left, right, limits=limits, name=self.name)
+        group = _KINDS[self.kind][1](*self.params, limits=limits)
+        return group if group.name == self.name else replace(group, name=self.name)
 
 
 @dataclass(frozen=True)
@@ -176,30 +193,51 @@ class OrderCatalog:
     complete: bool
 
 
-_BUILDERS = {
-    "cyclic": lambda p, lim: cyclic(p[0], limits=lim),
-    "dihedral": lambda p, lim: dihedral(p[0], limits=lim),
-    "symmetric": lambda p, lim: symmetric(p[0], limits=lim),
-    "alternating": lambda p, lim: alternating(p[0], limits=lim),
-    "psl2": lambda p, lim: psl2(p[0], limits=lim),
-    "sl2_5": lambda p, lim: sl2_5(limits=lim),
-    "dicyclic": lambda p, lim: dicyclic(p[0], limits=lim),
-    "semidirect_cyclic": lambda p, lim: semidirect_cyclic(p[0], p[1], p[2], limits=lim),
+# each atomic kind: the full-name pattern, whose groups are its integer
+# parameters, and the constructor that takes them
+_KINDS = {
+    "cyclic": (r"Z(\d+)", cyclic),
+    "symmetric": (r"S(\d+)", symmetric),
+    "alternating": (r"A(\d+)", alternating),
+    "dihedral": (r"D(\d+)", dihedral),
+    "dicyclic": (r"Dic(\d+)", dicyclic),
+    "psl2": (r"PSL\(2,(\d+)\)", psl2),
+    "sl2_5": (r"SL\(2,5\)", sl2_5),
+    "semidirect_cyclic": (
+        r"Z(\d+):Z(\d+)",
+        lambda n, m, *, limits: semidirect_cyclic(n, m, _least_multiplier(n, m), limits=limits),
+    ),
 }
 
+# names outside the grammar, each standing for a grammar name
+_ALIASES = {"1": "Z1", "V4": "Z2xZ2", "Q8": "Dic2", "F20": "Z5:Z4", "F21": "Z7:Z3"}
 
-def _build_spec(spec: GroupSpec, limits: Limits) -> FiniteGroup:
-    if spec.kind == "product":
-        left = group_from_name(spec.params[0], limits=limits)
-        right = group_from_name(spec.params[1], limits=limits)
-        return direct_product(left, right, limits=limits, name=spec.name)
-    builder = _BUILDERS.get(spec.kind)
-    if builder is None:
-        raise ValueError(f"unknown construction kind {spec.kind!r}")
-    group = builder(spec.params, limits)
-    if group.name != spec.name:
-        group = replace(group, name=spec.name)
-    return group
+
+def spec_from_name(name: str) -> GroupSpec:
+    """Parse a group name: an alias, a product AxB, or one of the ``_KINDS``.
+
+    Names like Z12, S4, A5, D10, Dic3, PSL(2,7), SL(2,5), Z15:Z4, A4xZ5,
+    and the aliases 1, V4, Q8, F20 and F21.  Only the syntax is checked
+    here; parameters a constructor rejects raise when the spec is built.
+    """
+    name = name.strip()
+    if name in _ALIASES:
+        spec = spec_from_name(_ALIASES[name])
+        return spec if name == "1" else replace(spec, name=name)  # 1 is named Z1
+    if "x" in name:
+        left, _, right = name.partition("x")
+        spec_from_name(left)
+        spec_from_name(right)  # validate both halves
+        return GroupSpec(name, "product", (left, right))
+    for kind, (pattern, _) in _KINDS.items():
+        match = re.fullmatch(pattern, name)
+        if match:
+            return GroupSpec(name, kind, tuple(int(g) for g in match.groups()))
+    raise ValueError(f"unrecognized group name {name!r}")
+
+
+def group_from_name(name: str, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+    return spec_from_name(name).build(limits=limits)
 
 
 @lru_cache(maxsize=1)
@@ -209,10 +247,7 @@ def _catalog_table() -> dict[int, OrderCatalog]:
     table = {}
     for order_str, entry in data["orders"].items():
         order = int(order_str)
-        specs = tuple(
-            GroupSpec(g["name"], g["kind"], tuple(g.get("params", ())))
-            for g in entry["groups"]
-        )
+        specs = tuple(spec_from_name(name) for name in entry["groups"])
         table[order] = OrderCatalog(order, specs, True, bool(entry["complete"]))
     return table
 
@@ -237,46 +272,3 @@ def catalog_specs(max_order: int | None = None) -> list[GroupSpec]:
             continue
         out.extend(_catalog_table()[order].specs)
     return out
-
-
-_SPECIAL_NAMES = {
-    "1": GroupSpec("Z1", "cyclic", (1,)),
-    "V4": GroupSpec("V4", "product", ("Z2", "Z2")),
-    "Q8": GroupSpec("Q8", "dicyclic", (2,)),
-    "F20": GroupSpec("F20", "semidirect_cyclic", (5, 4, 2)),
-    "F21": GroupSpec("F21", "semidirect_cyclic", (7, 3, 2)),
-    "PSL(2,5)": GroupSpec("PSL(2,5)", "psl2", (5,)),
-    "PSL(2,7)": GroupSpec("PSL(2,7)", "psl2", (7,)),
-    "SL(2,5)": GroupSpec("SL(2,5)", "sl2_5"),
-    "Z15:Z4": GroupSpec("Z15:Z4", "semidirect_cyclic", (15, 4, 2)),
-}
-
-_ATOM_RE = re.compile(r"^(Dic|Z|S|A|D)(\d+)$")
-_ATOM_KINDS = {
-    "Z": "cyclic",
-    "S": "symmetric",
-    "A": "alternating",
-    "D": "dihedral",
-    "Dic": "dicyclic",
-}
-
-
-def spec_from_name(name: str) -> GroupSpec:
-    """Parse a group name like Z12, S4, D10, Dic3, A4xZ5 or PSL(2,7)."""
-    name = name.strip()
-    if name in _SPECIAL_NAMES:
-        return _SPECIAL_NAMES[name]
-    if "x" in name:
-        left, _, right = name.partition("x")
-        spec_from_name(left)
-        spec_from_name(right)  # validate both halves
-        return GroupSpec(name, "product", (left, right))
-    m = _ATOM_RE.match(name)
-    if m:
-        prefix, value = m.group(1), int(m.group(2))
-        return GroupSpec(name, _ATOM_KINDS[prefix], (value,))
-    raise ValueError(f"unrecognized group name {name!r}")
-
-
-def group_from_name(name: str, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
-    return spec_from_name(name).build(limits=limits)

@@ -71,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     group = sub.add_parser("group", help="inspect one group")
-    group.add_argument("spec", help="group name, e.g. A5, Z12, D10, PSL(2,7)")
+    group.add_argument("spec", help="group name: Zn, Sn, An, Dn (order n), Dicn, "
+                       "PSL(2,5), PSL(2,7), SL(2,5), Zn:Zm, a product AxB, or one of "
+                       "the aliases 1, V4, Q8, F20, F21")
     group.add_argument("action", choices=("info", "subgroups", "isoposet"))
     _add_common(group, suppress=True)
 

@@ -22,7 +22,6 @@ from isoposet import (
     semidirect_cyclic,
     spec_from_name,
     symmetric,
-    trivial,
 )
 
 
@@ -123,7 +122,7 @@ def test_direct_product_order_and_degree():
 
 
 def test_direct_product_with_trivial():
-    g = direct_product(symmetric(3), trivial())
+    g = direct_product(symmetric(3), cyclic(1))
     assert are_isomorphic(g, symmetric(3))
 
 
@@ -177,11 +176,12 @@ def test_catalog_entries_pairwise_nonisomorphic():
 
 def test_group_from_name_roundtrip():
     for name in ("Z12", "S4", "A5", "D10", "Dic3", "Q8", "V4", "F21",
-                 "PSL(2,5)", "SL(2,5)", "A4xZ5", "Z15:Z4"):
+                 "PSL(2,5)", "SL(2,5)", "A4xZ5", "Z15:Z4", "1"):
         first = group_from_name(name)
         second = group_from_name(name)
         assert first.elements == second.elements  # bit-identical rebuild
-        assert first.name == name
+        assert first.name == ("Z1" if name == "1" else name)
+    assert group_from_name("F20").generators == group_from_name("Z5:Z4").generators
 
 
 def test_group_from_name_rejects_unknown():
@@ -189,6 +189,9 @@ def test_group_from_name_rejects_unknown():
         group_from_name("E8")
     with pytest.raises(ValueError):
         spec_from_name("Zx")
+    for name in ("Z5:Z3", "PSL(2,11)", "S3xE8"):
+        with pytest.raises(ValueError):
+            group_from_name(name)
 
 
 def test_every_export_resolves():
