@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
-from .catalog import alternating, catalog_for_order, dihedral, direct_product, group_from_name, psl2, symmetric
+from .catalog import alternating, catalog_for_order, direct_product, group_from_name, psl2
 from .classposet import IsoPoset, build_iso_poset, downset, maximal_nontop_classes
 from .groupiso import are_isomorphic, find_isomorphism
 from .invariants import fingerprint
@@ -132,9 +132,16 @@ def _max_class_summary(poset: IsoPoset) -> list[dict]:
     ]
 
 
-def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
-                 cache_dir: str | os.PathLike | None = None) -> list[ClaimResult]:
-    group = psl2(5, limits=limits)
+def _psl_common(q: int, shape: tuple[int, ...], maximal: list[str], *,
+                limits: Limits, cache_dir: str | os.PathLike | None):
+    """PSL(2,q) with its lattice and class poset, each built on first use,
+    and the results of its order-shape and maximal-classes claims.
+
+    ``maximal`` names the groups of the maximal non-top classes, in
+    increasing order; they are returned built, in the same order.
+    """
+    group = psl2(q, limits=limits)
+    references = [group_from_name(name, limits=limits) for name in maximal]
 
     @cache
     def lattice():
@@ -145,44 +152,51 @@ def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
         return build_iso_poset(group, lattice=lattice(), limits=limits)
 
     def claim_order_shape():
-        shape = order_shape(group.order)
-        return _decide(shape == (2, 1, 1), {"order": group.order, "shape": list(shape)})
+        found = order_shape(group.order)
+        return _decide(found == shape, {"order": group.order, "shape": list(found)})
 
     def claim_maximal_classes():
         tops = sorted(maximal_nontop_classes(poset()), key=lambda n: n.order)
-        targets = [symmetric(3), dihedral(10), alternating(4)]
         ok = (
-            [n.order for n in tops] == [6, 10, 12]
+            [n.order for n in tops] == [r.order for r in references]
             and all(
-                are_isomorphic(n.rep.as_group(limits=limits), t, limits=limits)
-                for n, t in zip(tops, targets)
+                are_isomorphic(n.rep.as_group(limits=limits), r, limits=limits)
+                for n, r in zip(tops, references)
             )
         )
         return _decide(ok, {"classes": _max_class_summary(poset())})
 
+    results = [
+        _run(f"psl2{q}.order-shape", claim_order_shape),
+        _run(f"psl2{q}.maximal-classes", claim_maximal_classes),
+    ]
+    return group, references, lattice, poset, results
+
+
+def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
+                 cache_dir: str | os.PathLike | None = None) -> list[ClaimResult]:
+    group, references, lattice, poset, results = _psl_common(
+        5, (2, 1, 1), ["S3", "D10", "A4"], limits=limits, cache_dir=cache_dir
+    )
+
     def claim_copies_maximal():
-        targets = {
-            12: fingerprint(alternating(4)),
-            10: fingerprint(dihedral(10)),
-            6: fingerprint(symmetric(3)),
-        }
-        reference = {12: alternating(4), 10: dihedral(10), 6: symmetric(3)}
-        checked = {12: 0, 10: 0, 6: 0}
+        # conjugates are isomorphic, so one realization per isomorphism class
+        checked = {}
         ok = True
-        for sub in lattice().subgroups:
-            if sub.order not in targets:
-                continue
-            standalone = sub.as_group(limits=limits)
-            iso = find_isomorphism(
-                reference[sub.order], standalone, limits=limits,
-                fg=targets[sub.order], fh=fingerprint(standalone),
-            )
-            if iso is None:
-                continue
-            checked[sub.order] += 1
-            if not is_maximal(group, sub):
-                ok = False
-        return _decide(ok, {"copies_checked": {str(k): v for k, v in checked.items()}})
+        for reference in references:
+            fp = fingerprint(reference)
+            copies = 0
+            for node in poset().nodes:
+                if node.order != reference.order:
+                    continue
+                standalone = node.rep.as_group(limits=limits)
+                if find_isomorphism(reference, standalone, limits=limits,
+                                    fg=fp, fh=fingerprint(standalone)) is None:
+                    continue
+                copies += len(node.members)
+                ok &= all(is_maximal(group, lattice().subgroups[i]) for i in node.members)
+            checked[str(reference.order)] = copies
+        return _decide(ok, {"copies_checked": checked})
 
     def claim_no_order_15():
         try:
@@ -218,9 +232,7 @@ def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
         }
         return _decide(ok, evidence)
 
-    return [
-        _run("psl25.order-shape", claim_order_shape),
-        _run("psl25.maximal-classes", claim_maximal_classes),
+    return results + [
         _run("psl25.copies-maximal", claim_copies_maximal),
         _run("psl25.no-order-15", claim_no_order_15),
         _run("psl25.not-solvable", claim_not_solvable),
@@ -230,39 +242,19 @@ def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
 
 def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
                  cache_dir: str | os.PathLike | None = None) -> list[ClaimResult]:
-    group = psl2(7, limits=limits)
+    group, _, lattice, poset, results = _psl_common(
+        7, (3, 1, 1), ["F21", "S4"], limits=limits, cache_dir=cache_dir
+    )
     trio = ["S5", "A5xZ2", "SL(2,5)"]
-
-    @cache
-    def lattice():
-        return all_subgroups(group, limits=limits, cache_dir=cache_dir)
-
-    @cache
-    def poset():
-        return build_iso_poset(group, lattice=lattice(), limits=limits)
 
     @cache
     def candidate(name):
         built = group_from_name(name, limits=limits)
         return built, all_subgroups(built, limits=limits, cache_dir=cache_dir)
 
-    def claim_order_shape():
-        shape = order_shape(group.order)
-        return _decide(shape == (3, 1, 1), {"order": group.order, "shape": list(shape)})
-
-    def claim_maximal_classes():
-        tops = sorted(maximal_nontop_classes(poset()), key=lambda n: n.order)
-        ok = (
-            [n.order for n in tops] == [21, 24]
-            and are_isomorphic(tops[0].rep.as_group(limits=limits),
-                               group_from_name("F21", limits=limits), limits=limits)
-            and are_isomorphic(tops[1].rep.as_group(limits=limits),
-                               symmetric(4), limits=limits)
-        )
-        return _decide(ok, {"classes": _max_class_summary(poset())})
-
     def claim_divisible_by_4():
-        return _decide(168 % 4 == 0 and 60 % 4 == 0, {"orders": [168, 60]})
+        orders = [group.order, psl2(5, limits=limits).order]
+        return _decide(all(n % 4 == 0 for n in orders), {"orders": orders})
 
     def claim_no_maximal_15():
         evidence = {}
@@ -311,9 +303,7 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
         )
         return SKIPPED, evidence, reason
 
-    return [
-        _run("psl27.order-shape", claim_order_shape),
-        _run("psl27.maximal-classes", claim_maximal_classes),
+    return results + [
         _run("psl27.divisible-by-4", claim_divisible_by_4),
         _run("psl27.no-maximal-order-15", claim_no_maximal_15),
         _run("psl27.composition-factors", claim_composition_factors),

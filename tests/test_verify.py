@@ -11,6 +11,7 @@ from isoposet import (
     is_simple,
     normal_subgroups,
     subgroups,
+    verify,
 )
 from isoposet.cli import main
 from isoposet.export import poset_dict, poset_dot, report_dict, to_json
@@ -36,6 +37,16 @@ def test_verify_psl25_all_verified(cache_dir):
     assert by_id["psl25.no-order-15"].evidence == {"order": 15, "present": False}
     assert by_id["psl25.catalog-60-unique"].evidence["poset_matches"] == ["A5"]
     assert by_id["psl25.catalog-60-unique"].evidence["catalog_complete"] is False
+
+
+def test_copies_maximal_realizes_one_subgroup_per_class(cache_dir, call_counter):
+    # 21 copies of A4, D10 and S3 in three isomorphism classes
+    calls = call_counter(verify, "find_isomorphism")
+    by_id = {c.claim_id: c for c in verify_psl25(cache_dir=cache_dir)}
+    assert by_id["psl25.copies-maximal"].evidence == {
+        "copies_checked": {"12": 5, "10": 6, "6": 10}
+    }
+    assert calls["find_isomorphism"] == 3
 
 
 def test_verify_psl27_statuses(cache_dir):
