@@ -196,15 +196,15 @@ class OrderCatalog:
 # each atomic kind: the full-name pattern, whose groups are its integer
 # parameters, and the constructor that takes them
 _KINDS = {
-    "cyclic": (r"Z(\d+)", cyclic),
-    "symmetric": (r"S(\d+)", symmetric),
-    "alternating": (r"A(\d+)", alternating),
-    "dihedral": (r"D(\d+)", dihedral),
-    "dicyclic": (r"Dic(\d+)", dicyclic),
-    "psl2": (r"PSL\(2,(\d+)\)", psl2),
-    "sl2_5": (r"SL\(2,5\)", sl2_5),
+    "cyclic": (re.compile(r"Z(\d+)"), cyclic),
+    "symmetric": (re.compile(r"S(\d+)"), symmetric),
+    "alternating": (re.compile(r"A(\d+)"), alternating),
+    "dihedral": (re.compile(r"D(\d+)"), dihedral),
+    "dicyclic": (re.compile(r"Dic(\d+)"), dicyclic),
+    "psl2": (re.compile(r"PSL\(2,(\d+)\)"), psl2),
+    "sl2_5": (re.compile(r"SL\(2,5\)"), sl2_5),
     "semidirect_cyclic": (
-        r"Z(\d+):Z(\d+)",
+        re.compile(r"Z(\d+):Z(\d+)"),
         lambda n, m, *, limits: semidirect_cyclic(n, m, _least_multiplier(n, m), limits=limits),
     ),
 }
@@ -230,7 +230,7 @@ def spec_from_name(name: str) -> GroupSpec:
         spec_from_name(right)  # validate both halves
         return GroupSpec(name, "product", (left, right))
     for kind, (pattern, _) in _KINDS.items():
-        match = re.fullmatch(pattern, name)
+        match = pattern.fullmatch(name)
         if match:
             return GroupSpec(name, kind, tuple(int(g) for g in match.groups()))
     raise ValueError(f"unrecognized group name {name!r}")

@@ -180,7 +180,7 @@ def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
     )
 
     def claim_copies_maximal():
-        # conjugates are isomorphic, so one realization per isomorphism class
+        # every member of a class is isomorphic to its representative
         checked = {}
         ok = True
         for reference in references:
