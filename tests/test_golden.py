@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI reports and catalog cache keys, byte for byte.
+"""Golden outputs: the CLI reports and catalog cache files, byte for byte.
 
 Each file under ``tests/golden/`` holds one output exactly as the program
 printed it when the file was written.  A change that alters any of them
@@ -10,6 +10,7 @@ purpose, from a checkout with ``src`` on the path:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import sys
@@ -59,12 +60,22 @@ def _cache_names(cache_dir: str) -> str:
     return "".join(f"{name}\n" for name in names)
 
 
+def _cache_contents(_cache_dir: str) -> str:
+    # a cold scan into an empty directory, so every file is written, not read
+    with tempfile.TemporaryDirectory() as fresh:
+        _scan(fresh)
+        files = sorted(Path(fresh).iterdir())
+        return "".join(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n"
+                       for f in files)
+
+
 OUTPUTS = {
     "verify-all.json": _verify_all,
     "scan.json": _scan,
     **{f"isoposet-{re.sub(r'[^A-Za-z0-9]', '', name)}.json": _isoposet(name)
        for name in ISOPOSET_GROUPS},
     "catalog-cache-files.txt": _cache_names,
+    "catalog-cache-sha256.txt": _cache_contents,
 }
 
 
