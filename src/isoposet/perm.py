@@ -90,6 +90,14 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
+def _unchecked(images: tuple[int, ...]) -> Permutation:
+    """A Permutation on images already known to form a bijection, such as a
+    product of permutations; it skips the check that construction makes."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Images of a applied first, then b."""
     return tuple([b[x] for x in a])
@@ -235,8 +243,24 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        """Order of every element, by index."""
-        return tuple(p.order() for p in self.elements)
+        """Order of every element, by index.
+
+        With a Cayley table, the powers of each element not yet ordered are
+        walked once: if i has order k, then i^e has order k / gcd(e, k).
+        """
+        table = self.cayley_table
+        if table is None:
+            return tuple(p.order() for p in self.elements)
+        orders = [0] * self.order
+        for i, row in enumerate(table):
+            if not orders[i]:
+                powers = [i]  # i^1, i^2, ..., ending at the identity
+                while powers[-1] != self.identity_index:
+                    powers.append(row[powers[-1]])
+                k = len(powers)
+                for e, x in enumerate(powers, 1):
+                    orders[x] = k // math.gcd(e, k)
+        return tuple(orders)
 
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
@@ -302,7 +326,8 @@ def closure(
     Discovery order is breadth-first from the identity with generators
     applied in input order, so two runs with identical inputs produce
     identical element orderings.  The Cayley table is built within
-    ``cayley_cap``.
+    ``cayley_cap``.  Every element is a product of the checked generators,
+    so its image tuple is taken as a bijection without a second check.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -314,7 +339,7 @@ def closure(
     return FiniteGroup(
         degree=degree,
         generators=tuple(generators),
-        elements=tuple(Permutation(e) for e in elems),
+        elements=tuple([_unchecked(e) for e in elems]),
         cayley_table=table,
         name=name,
     )
