@@ -209,26 +209,67 @@ def _orbit(members: Sequence[int], gens: tuple[int, ...], conj_maps: list[list[i
     return list(orbit.items())
 
 
+def _join(group: FiniteGroup, hmembers: Sequence[int], hgens: Sequence[int], c: int,
+          stop_above: int) -> list[int] | None:
+    """Sorted element indices of <H, c> for the subgroup H = ``hmembers``
+    generated by ``hgens``, or None once it exceeds ``stop_above`` members.
+
+    Dimino's closure: the join is grown as a union of whole cosets e*H, each
+    read off row e of the Cayley table.  The union is closed under left
+    multiplication by every generator s once s*r lies in it for each coset
+    representative r, since then s*r*H is one of its cosets.  A group with
+    no table closes the generators element by element instead.
+    """
+    table = group.cayley_table
+    if table is None:
+        return group.closure_indices([*hgens, c], stop_above=stop_above)
+    inside = set(hmembers)
+    reps = [group.identity_index]
+    gens = [*hgens, c]
+    for r in reps:  # grows with each new coset, so every growth is checked
+        if len(inside) > stop_above:
+            return None
+        for s in gens:
+            e = table[s][r]
+            if e not in inside:
+                row = table[e]
+                inside.update([row[h] for h in hmembers])
+                reps.append(e)
+    return sorted(inside)
+
+
 def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
     """The conjugation orbit of every conjugacy class of subgroups."""
     # One representative per conjugacy class is joined with every cyclic
     # subgroup; each new subgroup enters with its whole conjugation orbit.
     # Complete, by induction on K = <C1..Ck>: if <C1..Ci> = R^g for a
     # representative R, then <C1..Ci+1> = <R, Ci+1^(g^-1)>^g, a join tried.
+    # A join is tried once per orbit of cyclic subgroups under conjugation
+    # by R: for h in R, <R, C^h> = <R, C>^h = <R, C>, so the joins skipped
+    # give subgroups already known, and discovery order does not change.
     n = group.order
     ident = group.identity_index
     half = n // 2
     full = tuple(range(n))
     conj_maps = _conjugation_maps(group)
 
+    # cyclic_of[i] is the mask of <i>; its generators i^e, gcd(e, k) = 1,
+    # all share it, so only the least of them, met first, walks the powers
+    cyclic_of = [0] * n
     cyclic_by_mask: dict[int, tuple[list[int], int]] = {}
     for i in range(n):
-        members = [ident]
-        j = i
-        while j != ident:
-            members.append(j)
-            j = group.mult(j, i)
-        cyclic_by_mask.setdefault(_mask(members), (members, i))
+        if not cyclic_of[i]:
+            members = [ident]
+            j = i
+            while j != ident:
+                members.append(j)
+                j = group.mult(j, i)
+            mask = _mask(members)
+            k = len(members)
+            for e in range(1, k):
+                if math.gcd(e, k) == 1:
+                    cyclic_of[members[e]] = mask
+            cyclic_by_mask[mask] = (members, i)
     cyclics = sorted(cyclic_by_mask.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
     orbits: list[_Orbit] = []
@@ -245,13 +286,22 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
             add_class(members, (gen,))
     for orbit in orbits:  # grows as joins find new classes
         hmembers, hgens = orbit[0]
-        if hmembers == full:
+        if hmembers == full or not hgens:  # the trivial group's joins are the cyclics
             continue
         hmask = _mask(hmembers)
+        done: set[int] = set()
         for cmask, (_, cgen) in cyclics:
-            if cmask & hmask == cmask:
+            if cmask in done or cmask & hmask == cmask:
                 continue
-            result = group.closure_indices(list(hgens) + [cgen], stop_above=half)
+            done.add(cmask)
+            conjugates = [cgen]
+            for x in conjugates:  # grows along C's orbit under conjugation by H
+                for h in hgens:
+                    y = group.conjugate_index(x, h)
+                    if cyclic_of[y] not in done:
+                        done.add(cyclic_of[y])
+                        conjugates.append(y)
+            result = _join(group, hmembers, hgens, cgen, half)
             if result is None:
                 if full not in known:
                     add_class(full, group.generator_indices())
