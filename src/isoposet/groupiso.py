@@ -72,6 +72,14 @@ def _is_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: list[int]) -> bool:
     """Full check: bijection plus the homomorphism law on all pairs."""
     if sorted(mapping) != list(range(h.order)):
         return False
+    if g.cayley_table is not None and h.cayley_table is not None:
+        # row i of both sides at once: mapping[i*j] against mapping[i]*mapping[j]
+        htable = h.cayley_table
+        for i, row in enumerate(g.cayley_table):
+            hrow = htable[mapping[i]]
+            if [mapping[x] for x in row] != [hrow[m] for m in mapping]:
+                return False
+        return True
     for i in range(g.order):
         for j in range(g.order):
             if mapping[g.mult(i, j)] != h.mult(mapping[i], mapping[j]):
