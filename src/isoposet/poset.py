@@ -134,8 +134,8 @@ class Poset:
         """The canonical form and the node placement that reaches it.
 
         Nodes are placed one position at a time; each position records
-        (refinement color, cover bits down to the placed prefix, cover bits up),
-        and the lexicographically least full placement wins.  Equal forms hold
+        (refinement color, cover bits down to the placed prefix, 0), and the
+        lexicographically least full placement wins.  Equal forms hold
         exactly for isomorphic posets.  The search keeps an explicit stack, one
         iterator of candidate nodes per position, so no recursion limit bounds n.
         """
@@ -151,13 +151,15 @@ class Poset:
         best_placed: tuple[int, ...] = ()
 
         def signature(c: int) -> tuple[int, int, int]:
-            lo = hi = 0
+            lo = 0
             for pos, x in enumerate(placed):
                 if (x, c) in cover:
                     lo |= 1 << pos
-                if (c, x) in cover:
-                    hi |= 1 << pos
-            return (colors[c], lo, hi)
+            # cover bits up from c to the placed prefix are always 0: colors
+            # keep the order of heights, so every node below a placed node
+            # was placed before it.  The 0 stays so that forms, and the
+            # digests hashed from them, do not change.
+            return (colors[c], lo, 0)
 
         def level() -> Iterator[tuple[tuple[int, int, int], int]]:
             # the nodes of least signature may take the next position,
