@@ -22,7 +22,7 @@ from isoposet import (
     symmetric,
 )
 from isoposet.catalog import catalog_specs
-from isoposet.groupiso import classify_with_data
+from isoposet.groupiso import _is_isomorphism, classify_with_data
 from isoposet.subgroups import Subgroup
 
 from oracles import oracle_classify, oracle_group_isomorphic
@@ -74,11 +74,30 @@ def test_fingerprint_as_dict_is_json_ready():
 
 
 def test_element_orders_computed_once(call_counter):
+    # a group with a Cayley table reads its element orders off the table;
+    # one without orders each element's permutation exactly once
     calls = call_counter(Permutation, "order")
     g = symmetric(4)
     fingerprint(g)
     assert find_isomorphism(g, g) is not None
-    assert calls["order"] == g.order
+    assert calls["order"] == 0
+    untabled = symmetric(4, limits=Limits(cayley_cap=8))
+    assert untabled.cayley_table is None
+    fingerprint(untabled)
+    assert find_isomorphism(untabled, untabled) is not None
+    assert calls["order"] == untabled.order
+
+
+@pytest.mark.parametrize("cayley_cap", [512, 1], ids=["table", "no-table"])
+def test_witness_check_rejects_a_non_homomorphism(cayley_cap):
+    # inversion is a bijection that keeps element orders; it is a
+    # homomorphism exactly on abelian groups
+    limits = Limits(cayley_cap=cayley_cap)
+    for group, abelian in ((symmetric(3, limits=limits), False), (cyclic(6, limits=limits), True)):
+        assert (group.cayley_table is None) == (cayley_cap == 1)
+        inversion = [group.inverse_index(i) for i in range(group.order)]
+        assert _is_isomorphism(group, group, list(range(group.order)))
+        assert _is_isomorphism(group, group, inversion) == abelian
 
 
 def test_are_isomorphic_basics():

@@ -16,6 +16,8 @@ from isoposet import (
     cyclic,
     dihedral,
     element_order,
+    psl2,
+    sl2_5,
     symmetric,
 )
 from isoposet.catalog import catalog_specs
@@ -155,6 +157,13 @@ def test_a5_element_order_histogram():
     g = alternating(5)
     hist = Counter(element_order(g, i) for i in range(g.order))
     assert dict(hist) == {1: 1, 2: 15, 3: 20, 5: 24}
+
+
+def test_element_orders_from_table_match_permutation_orders():
+    groups = [spec.build() for spec in catalog_specs(DEFAULT_LIMITS.cayley_cap)]
+    for g in groups + [psl2(7), sl2_5()]:
+        assert g.cayley_table is not None
+        assert g.element_orders == tuple(p.order() for p in g.elements), g.name
 
 
 def test_element_orders_divide_group_order():

@@ -160,13 +160,29 @@ def test_as_group_without_parent_table_orders_only_its_elements(call_counter):
 
 def test_enumeration_work_count_psl27(call_counter):
     # a deterministic count, so it guards the cost without a timing bound:
-    # one join per conjugacy-class representative and cyclic subgroup
+    # one join per conjugacy-class representative and orbit of cyclic
+    # subgroups under it (229), and one closure per class for its generators
     group = psl2(7)
-    calls = call_counter(FiniteGroup, "closure_indices")
+    closures = call_counter(FiniteGroup, "closure_indices")
+    joins = call_counter(subgroups, "_join")
     orbits = subgroups._enumerate_subgroups(group)
     assert len(orbits) == 15
     assert sum(map(len, orbits)) == 179
-    assert calls["closure_indices"] <= 2000
+    assert joins["_join"] + closures["closure_indices"] <= 247
+
+
+@pytest.mark.parametrize("name", ["A5", "S4"])
+def test_coset_join_matches_closure(name):
+    group = group_from_name(name)
+    half = group.order // 2
+    results = set()
+    for orbit in subgroups._enumerate_subgroups(group):
+        hmembers, hgens = orbit[0]
+        for c in range(group.order):  # every cyclic subgroup, several times
+            joined = subgroups._join(group, hmembers, hgens, c, half)
+            assert joined == group.closure_indices([*hgens, c], stop_above=half)
+            results.add(None if joined is None else len(joined))
+    assert None in results and len(results) > 2
 
 
 def test_lattice_contains_trivial_and_full(a5_lattice):
