@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, ClassVar, Hashable, Iterable, Sequence
 
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
@@ -100,7 +101,9 @@ def _unchecked(images: tuple[int, ...]) -> Permutation:
 
 def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Images of a applied first, then b."""
-    return tuple([b[x] for x in a])
+    if len(a) == 1:
+        return b  # itemgetter of one index returns the item, not a tuple
+    return itemgetter(*a)(b)
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -276,15 +279,17 @@ def _close(identity: Hashable, gens: Sequence[Hashable],
     Discovery order starts at ``identity`` and applies the generators in
     input order, so equal inputs give equal orderings.
 
-    Within ``cayley_cap`` the Cayley table is built from rows already
+    Within ``cayley_cap`` the Cayley table is built from columns already
     built: each element c other than the identity was first reached as
-    c = a*g from an earlier element a and a generator g, so
-    c*x = a*(g*x) and row c is row a read through g's left-multiplication
-    column.  Only those columns take ``mul`` calls, n*|gens| instead of n*n.
+    c = a*g from an earlier element a and a generator g, so x*c = (x*a)*g
+    and column c is column a read through g's right-multiplication map.
+    The walk already took those products, so the table takes no ``mul``
+    call of its own.
     """
     index = {identity: 0}
     elems = [identity]
     parents: list[tuple[int, int]] = []  # (a, k) for elems[1:]: a * gens[k]
+    right: list[list[int]] = [[] for _ in gens]  # right[k][a]: index of a * gens[k]
     frontier = [0]
     while frontier:
         nxt = []
@@ -292,11 +297,13 @@ def _close(identity: Hashable, gens: Sequence[Hashable],
             a = elems[ai]
             for k, b in enumerate(gens):
                 c = mul(a, b)
-                if c not in index:
-                    index[c] = len(elems)
-                    nxt.append(len(elems))
+                ci = index.get(c)
+                if ci is None:
+                    ci = index[c] = len(elems)
+                    nxt.append(ci)
                     elems.append(c)
                     parents.append((ai, k))
+                right[k].append(ci)
         if len(elems) > limits.element_cap:
             raise ResourceLimitError(
                 f"closure reached more than {limits.element_cap} elements "
@@ -305,13 +312,11 @@ def _close(identity: Hashable, gens: Sequence[Hashable],
         frontier = nxt
     if len(elems) > limits.cayley_cap:
         return elems, None
-    # left[k][j] is the index of gens[k] * elems[j]
-    left = [[index[mul(b, e)] for e in elems] for b in gens]
-    rows = [tuple(range(len(elems)))]
+    columns = [tuple(range(len(elems)))]
     for ai, k in parents:
-        row = rows[ai]
-        rows.append(tuple([row[y] for y in left[k]]))
-    return elems, tuple(rows)
+        column, move = columns[ai], right[k]
+        columns.append(tuple([move[x] for x in column]))
+    return elems, tuple(zip(*columns))
 
 
 def closure(
