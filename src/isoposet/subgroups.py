@@ -3,8 +3,10 @@
 Subgroups are index sets into the parent group's element table.  Complete
 enumeration is cyclic extension up to conjugacy (Neubueser, 1960): it seeds
 with every cyclic subgroup, keeps one representative per conjugacy class,
-joins each representative with every cyclic subgroup, and adds each new
-subgroup together with its orbit under conjugation by the generators.
+joins each representative with one cyclic subgroup from each orbit under
+its own conjugation, and adds each new subgroup together with its orbit
+under conjugation by the generators.  Joins are closed coset by coset
+(Dimino's algorithm).
 
 Normal structure needs no lattice: every normal subgroup is a join of
 normal closures of conjugacy classes, so ``normal_subgroups``,
@@ -244,9 +246,10 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
     # subgroup; each new subgroup enters with its whole conjugation orbit.
     # Complete, by induction on K = <C1..Ck>: if <C1..Ci> = R^g for a
     # representative R, then <C1..Ci+1> = <R, Ci+1^(g^-1)>^g, a join tried.
-    # A join is tried once per orbit of cyclic subgroups under conjugation
-    # by R: for h in R, <R, C^h> = <R, C>^h = <R, C>, so the joins skipped
-    # give subgroups already known, and discovery order does not change.
+    # Only the first cyclic subgroup of each orbit under conjugation by R is
+    # joined: for h in R, <R, C^h> = <R, C>^h = <R, C>, so a join skipped
+    # would give a subgroup already known, and discovery order, class
+    # representatives and their generators do not change.
     n = group.order
     ident = group.identity_index
     half = n // 2
