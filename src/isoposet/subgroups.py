@@ -222,12 +222,12 @@ def _join(group: FiniteGroup, hmembers: Sequence[int], hgens: Sequence[int], c: 
     representative r, since then s*r*H is one of its cosets.  A group with
     no table closes the generators element by element instead.
     """
+    gens = [*hgens, c]
     table = group.cayley_table
     if table is None:
-        return group.closure_indices([*hgens, c], stop_above=stop_above)
+        return group.closure_indices(gens, stop_above=stop_above)
     inside = set(hmembers)
     reps = [group.identity_index]
-    gens = [*hgens, c]
     for r in reps:  # grows with each new coset, so every growth is checked
         if len(inside) > stop_above:
             return None

@@ -82,6 +82,14 @@ def test_closure_empty_generators():
     assert g.elements[g.identity_index] == Permutation.identity(1)
 
 
+def test_products_on_one_point():
+    one = Permutation.identity(1)
+    assert compose(one, one) == one
+    g = closure(1, [one, one])
+    assert g.elements == (one,)
+    assert g.cayley_table == ((0,),)
+
+
 def test_closure_a5_order():
     # |A5| = 5!/2 = 60
     g = closure(5, [perm((0, 1, 2, 3, 4), degree=5), perm((0, 1, 2), degree=5)])
