@@ -98,7 +98,13 @@ def build_iso_poset(
     cache_dir: str | os.PathLike | None = None,
     recognize: bool = True,
 ) -> IsoPoset:
-    """Construct the subgroup-class poset of a group."""
+    """Construct the subgroup-class poset of a group.
+
+    The class of the whole group is labelled with the group's name when it
+    has one.  With ``recognize``, the other classes are named where they
+    are recognized (Zn, or a catalog group of their order) and are
+    ``G<order>.<id>`` otherwise.
+    """
     if lattice is None:
         lattice = all_subgroups(group, limits=limits, cache_dir=cache_dir)
     classes = classify_with_data(group, lattice, limits=limits)
@@ -120,7 +126,9 @@ def build_iso_poset(
     for node_id, (members, fp, rep_idx) in enumerate(classes):
         rep = lattice.subgroups[rep_idx]
         all_max = all(lattice.maximal_flags[s] for s in members)
-        if recognize:
+        if group.name and fp.order == group.order:
+            label = group.name
+        elif recognize:
             label = _label_for(fp, rep, node_id, limits=limits)
         elif fp.order == 1:
             label = "1"
@@ -139,8 +147,6 @@ def build_iso_poset(
                 label=label,
             )
         )
-    if group.name and nodes[-1].order == group.order:
-        nodes[-1] = replace(nodes[-1], label=group.name)
 
     top = k - 1
     bottom = 0

@@ -43,6 +43,8 @@ def _parse_caps(raw: str) -> Limits:
         raise argparse.ArgumentTypeError(
             f"--caps expects 'ENUM,ISO' integers, got {raw!r}"
         ) from None
+    if enum_cap < 1 or iso_cap < 1:
+        raise argparse.ArgumentTypeError(f"--caps values start at 1, got {raw!r}")
     return replace(DEFAULT_LIMITS, enum_cap=enum_cap, iso_cap=iso_cap)
 
 

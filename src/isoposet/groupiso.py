@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .invariants import Fingerprint, conjugacy_classes, fingerprint
+from .invariants import Fingerprint, conjugacy_classes, fingerprint, invariants
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup
 from .subgroups import SubgroupLattice
@@ -153,8 +153,10 @@ def classify_with_data(
     Returns (member subgroup indices, fingerprint, representative index)
     triples sorted by (fingerprint, members); the representative is the
     lowest-index member.  Conjugate subgroups are isomorphic, so only the
-    lowest-index member of each conjugacy class is realized as a standalone
-    group, fingerprinted and compared, and its class inherits the result.
+    lowest-index member of each conjugacy class is fingerprinted, in the
+    parent by :func:`invariants`, and its class inherits the result.  A
+    representative is realized as a standalone group only when another
+    conjugacy class shares its fingerprint, to be compared with it.
     """
     if lattice.parent is not group:
         raise ValueError("lattice does not belong to this group")
@@ -162,14 +164,16 @@ def classify_with_data(
     for idx, cls in enumerate(lattice.class_of):
         conjugates.setdefault(cls, []).append(idx)
     orbits = list(conjugates.values())  # ordered by least member
-    realized = [lattice.subgroups[orbit[0]].as_group(limits=limits) for orbit in orbits]
     buckets: dict[Fingerprint, list[int]] = {}
-    for k, grp in enumerate(realized):
-        buckets.setdefault(fingerprint(grp), []).append(k)
+    for k, orbit in enumerate(orbits):
+        rep = lattice.subgroups[orbit[0]]
+        buckets.setdefault(invariants(group, rep.members, rep.gens), []).append(k)
     out: list[tuple[tuple[int, ...], Fingerprint, int]] = []
     for fp, ks in buckets.items():
         reps: list[int] = []
         members: dict[int, list[int]] = {}
+        realized = ({k: lattice.subgroups[orbits[k][0]].as_group(limits=limits) for k in ks}
+                    if len(ks) > 1 else {})
         for k in ks:
             for rep in reps:
                 if find_isomorphism(realized[rep], realized[k],

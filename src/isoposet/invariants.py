@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .perm import FiniteGroup
 
@@ -37,44 +37,29 @@ class Fingerprint:
         }
 
 
-def is_abelian(group: FiniteGroup) -> bool:
-    gens = group.generator_indices()
-    return all(group.mult(a, b) == group.mult(b, a) for a in gens for b in gens)
-
-
-def center_size(group: FiniteGroup) -> int:
-    # commuting with every generator is commuting with everything
-    gens = group.generator_indices()
-    return sum(
-        1
-        for i in range(group.order)
-        if all(group.mult(i, g) == group.mult(g, i) for g in gens)
-    )
+def _orbits(points: Iterable[int], maps: Sequence) -> list[tuple[int, ...]]:
+    """Orbits of ``points`` under the index maps, as sorted index tuples
+    ordered by least member; each map is read as ``map[x]``."""
+    seen: set[int] = set()
+    orbits = []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:  # grows as the walk finds new points
+            for cmap in maps:
+                y = cmap[x]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
 
 
 def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Conjugacy classes as sorted index tuples, ordered by least member."""
-    gens = group.generator_indices()
-    seen = bytearray(group.order)
-    classes = []
-    for start in range(group.order):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = 1
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = group.conjugate_index(x, g)
-                    if not seen[y]:
-                        seen[y] = 1
-                        orbit.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        classes.append(tuple(sorted(orbit)))
-    return classes
+    return _orbits(range(group.order), group.conjugation_maps)
 
 
 def derived_subgroup_indices(group: FiniteGroup, gens: Sequence[int]) -> list[int]:
@@ -90,16 +75,42 @@ def derived_subgroup_indices(group: FiniteGroup, gens: Sequence[int]) -> list[in
     return group.normal_closure_indices(seeds, gens)
 
 
-def fingerprint(group: FiniteGroup) -> Fingerprint:
-    """Exhaustively computed invariant summary of a group."""
-    orders = group.element_orders
-    histogram = tuple(sorted(Counter(orders).items()))
+def invariants(parent: FiniteGroup, members: Sequence[int],
+               gens: Sequence[int]) -> Fingerprint:
+    """Fingerprint of the subgroup of ``parent`` with element indices
+    ``members`` generated by ``gens``, read in the parent.
+
+    It equals the fingerprint of the subgroup realized as a group of its
+    own.  Element orders are the parent's; a parent without a Cayley table
+    orders only the members, as realizing the subgroup would.  Conjugacy
+    classes are the orbits of conjugation by ``gens``, and the centre is
+    their singletons: a subgroup is abelian iff its centre is all of it.
+    """
+    whole = len(members) == parent.order
+    if parent.cayley_table is not None or whole:
+        parent_orders = parent.element_orders
+        orders = [parent_orders[x] for x in members]
+    else:
+        orders = [parent.elements[x].order() for x in members]
+    if whole:  # conjugation by any generating set has the same orbits
+        maps = parent.conjugation_maps
+    else:
+        maps = [{x: parent.conjugate_index(x, g) for x in members}
+                for g in dict.fromkeys(gens)]
+    class_sizes = sorted(len(c) for c in _orbits(members, maps))
+    center = class_sizes.count(1)
     return Fingerprint(
-        order=group.order,
-        abelian=is_abelian(group),
+        order=len(members),
+        abelian=center == len(members),
         exponent=math.lcm(*orders),
-        order_histogram=histogram,
-        center_size=center_size(group),
-        derived_size=len(derived_subgroup_indices(group, group.generator_indices())),
-        class_sizes=tuple(sorted(len(c) for c in conjugacy_classes(group))),
+        order_histogram=tuple(sorted(Counter(orders).items())),
+        center_size=center,
+        derived_size=len(derived_subgroup_indices(parent, gens)),
+        class_sizes=tuple(class_sizes),
     )
+
+
+def fingerprint(group: FiniteGroup) -> Fingerprint:
+    """Exhaustively computed invariant summary of a group: the
+    :func:`invariants` of the whole group in itself."""
+    return invariants(group, range(group.order), group.generator_indices())

@@ -172,7 +172,26 @@ class FiniteGroup:
 
     def conjugate_index(self, i: int, g: int) -> int:
         """Index of g^-1 * elements[i] * g."""
+        table = self.cayley_table
+        if table is not None:
+            return table[table[self._inverses[g]][i]][g]
         return self.mult(self.mult(self._inverses[g], i), g)
+
+    def conjugation_map(self, g: int) -> tuple[int, ...]:
+        """i -> g^-1 * i * g as an index tuple.
+
+        With a Cayley table, row g^-1 holds every g^-1 * i, and column g of
+        its row is g^-1 * i * g.
+        """
+        table = self.cayley_table
+        if table is not None:
+            return tuple([table[x][g] for x in table[self._inverses[g]]])
+        return tuple([self.conjugate_index(i, g) for i in range(self.order)])
+
+    @cached_property
+    def conjugation_maps(self) -> tuple[tuple[int, ...], ...]:
+        """The conjugation map of each distinct generator."""
+        return tuple(map(self.conjugation_map, dict.fromkeys(self.generator_indices())))
 
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(self._index[g.images] for g in self.generators)

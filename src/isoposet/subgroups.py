@@ -160,23 +160,36 @@ _Orbit = list[tuple[tuple[int, ...], tuple[int, ...]]]  # (members, generators),
 
 
 def _finish_lattice(group: FiniteGroup, orbits: list[_Orbit]) -> SubgroupLattice:
+    """The lattice of the subgroups in ``orbits``, sorted by (order, members).
+
+    Containment is read from generators: subgroup i contains j iff i holds
+    every generator of j.  So the subgroups over j are the AND, over j's
+    generators g, of the mask of subgroups that hold g, and building those
+    masks walks each subgroup's members once instead of testing every pair.
+    """
     raw = sorted(((members, gens, c) for c, orbit in enumerate(orbits) for members, gens in orbit),
                  key=lambda mgc: (len(mgc[0]), mgc[0]))
     subs = tuple(Subgroup(group, members, gens) for members, gens, _ in raw)
     renumber: dict[int, int] = {}
     class_of = tuple(renumber.setdefault(c, len(renumber)) for _, _, c in raw)
     k = len(subs)
-    contains_masks = []
-    supersets = [0] * k
-    for i in range(k):
-        mask_i = subs[i].mask
-        bits = 0
-        # sorted by order, so a proper subgroup always sits lower
-        for j in range(i + 1):
-            if subs[j].mask & mask_i == subs[j].mask:
-                bits |= 1 << j
-                supersets[j] |= 1 << i
-        contains_masks.append(bits)
+    holding = [0] * group.order  # holding[x]: the subgroups that contain x
+    for i, sub in enumerate(subs):
+        bit = 1 << i
+        for x in sub.members:
+            holding[x] |= bit
+    supersets = []  # supersets[j]: the subgroups that contain subgroups[j]
+    contains_masks = [0] * k  # its transpose
+    for j, sub in enumerate(subs):
+        over = (1 << k) - 1
+        for g in sub.gens:
+            over &= holding[g]
+        supersets.append(over)
+        bit = 1 << j
+        while over:
+            low = over & -over
+            contains_masks[low.bit_length() - 1] |= bit
+            over ^= low
     full = k - 1
     flags = tuple(i != full and supersets[i] == 1 << i | 1 << full for i in range(k))
     return SubgroupLattice(group, subs, tuple(contains_masks), flags, class_of)
@@ -189,15 +202,8 @@ def _mask(members: Iterable[int]) -> int:
     return mask
 
 
-def _conjugation_maps(group: FiniteGroup) -> list[list[int]]:
-    """i -> g^-1 * i * g as an index list, for each distinct generator g."""
-    return [
-        [group.conjugate_index(i, g) for i in range(group.order)]
-        for g in dict.fromkeys(group.generator_indices())
-    ]
-
-
-def _orbit(members: Sequence[int], gens: tuple[int, ...], conj_maps: list[list[int]]) -> _Orbit:
+def _orbit(members: Sequence[int], gens: tuple[int, ...],
+           conj_maps: Sequence[Sequence[int]]) -> _Orbit:
     """Every conjugate of the subgroup ``members`` generated by ``gens``, itself
     first; a conjugate's generators are ``gens`` under the same conjugation."""
     orbit: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -254,7 +260,7 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
     ident = group.identity_index
     half = n // 2
     full = tuple(range(n))
-    conj_maps = _conjugation_maps(group)
+    conj_maps = group.conjugation_maps
 
     # cyclic_of[i] is the mask of <i>; its generators i^e, gcd(e, k) = 1,
     # all share it, so only the least of them, met first, walks the powers
@@ -292,6 +298,7 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
         if hmembers == full or not hgens:  # the trivial group's joins are the cyclics
             continue
         hmask = _mask(hmembers)
+        hmaps = [group.conjugation_map(h) for h in hgens]
         done: set[int] = set()
         for cmask, (_, cgen) in cyclics:
             if cmask in done or cmask & hmask == cmask:
@@ -299,8 +306,8 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
             done.add(cmask)
             conjugates = [cgen]
             for x in conjugates:  # grows along C's orbit under conjugation by H
-                for h in hgens:
-                    y = group.conjugate_index(x, h)
+                for cmap in hmaps:
+                    y = cmap[x]
                     if cyclic_of[y] not in done:
                         done.add(cyclic_of[y])
                         conjugates.append(y)
@@ -354,7 +361,7 @@ def _load_cached(group: FiniteGroup, path: Path) -> list[_Orbit] | None:
             and all(isinstance(g, int) and 0 <= g < group.order for g in gens)
             for gens in classes)):
         return None
-    conj_maps = _conjugation_maps(group)
+    conj_maps = group.conjugation_maps
     orbits: list[_Orbit] = []
     known: set[tuple[int, ...]] = set()
     for gens in classes:

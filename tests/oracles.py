@@ -3,7 +3,8 @@
 These stay deliberately independent of the library's search code: the group
 oracle enumerates order-respecting bijections outright, the poset oracle
 enumerates all node bijections, the subgroup oracle closes every small
-element subset, and the conjugacy oracle conjugates by every element.
+element subset, the conjugacy oracles conjugate by every element, and the
+containment oracle tests every pair of member sets.
 The classification oracle is the exception: it is the per-subgroup
 classification that the one-per-conjugacy-class path replaced, run on
 every subgroup with the library's own isomorphism search.
@@ -111,6 +112,29 @@ def oracle_conjugacy_classes(group: FiniteGroup, subgroups) -> set[frozenset[int
             conjugates.add(position[image])
         classes.add(frozenset(conjugates))
     return classes
+
+
+def oracle_element_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Conjugacy classes of elements, each the set of g^-1 x g over every
+    element g, as sorted tuples ordered by least member."""
+    classes = {
+        tuple(sorted({group.mult(group.mult(group.inverse_index(g), x), g)
+                      for g in range(group.order)}))
+        for x in range(group.order)
+    }
+    return sorted(classes)
+
+
+def oracle_containment(lattice) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """``contains_masks`` and ``maximal_flags`` of a lattice, by testing
+    every pair of member sets."""
+    sets = [frozenset(s.members) for s in lattice.subgroups]
+    whole = frozenset(range(lattice.parent.order))
+    contains = tuple(sum(1 << j for j, inner in enumerate(sets) if inner <= outer)
+                     for outer in sets)
+    maximal = tuple(s != whole and all(t in (s, whole) for t in sets if s <= t)
+                    for s in sets)
+    return contains, maximal
 
 
 def oracle_classify(group: FiniteGroup, lattice) -> list[tuple[tuple[int, ...], object, int]]:

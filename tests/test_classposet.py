@@ -6,6 +6,8 @@ from isoposet import (
     are_isomorphic,
     are_posets_isomorphic,
     build_iso_poset,
+    classposet,
+    closure,
     cyclic,
     dicyclic,
     dihedral,
@@ -13,6 +15,7 @@ from isoposet import (
     group_from_name,
     maximal_nontop_classes,
     order_shape,
+    psl2,
     symmetric,
 )
 
@@ -78,6 +81,19 @@ def test_psl27_labels(psl27, psl27_lattice):
     assert {"F21", "S4", "D8", "A4", "PSL(2,7)"} <= labels
     tops = sorted(maximal_nontop_classes(iso), key=lambda n: n.order)
     assert [(n.order, n.class_size) for n in tops] == [(21, 8), (24, 14)]
+
+
+def test_named_group_labels_its_top_class_without_recognition(call_counter):
+    # the whole group's class takes the group's name; only an unnamed
+    # group is recognized among the catalog groups of its order
+    calls = call_counter(classposet, "_recognition_candidates", key=lambda order: order)
+    group = psl2(5)
+    assert build_iso_poset(group).nodes[-1].label == "PSL(2,5)"
+    assert calls[60] == 0
+    unnamed = closure(group.degree, group.generators)
+    assert unnamed.name is None
+    assert build_iso_poset(unnamed).nodes[-1].label == "A5"
+    assert calls[60] == 1
 
 
 def test_downset_of_top_is_whole_poset(a5, a5_lattice):

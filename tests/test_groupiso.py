@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from isoposet import (
+    FiniteGroup,
     Limits,
     Permutation,
     ResourceLimitError,
@@ -23,9 +24,10 @@ from isoposet import (
 )
 from isoposet.catalog import catalog_specs
 from isoposet.groupiso import _is_isomorphism, classify_with_data
+from isoposet.invariants import conjugacy_classes, invariants
 from isoposet.subgroups import Subgroup
 
-from oracles import oracle_classify, oracle_group_isomorphic
+from oracles import oracle_classify, oracle_element_classes, oracle_group_isomorphic
 
 
 def shuffled_copy(group):
@@ -86,6 +88,56 @@ def test_element_orders_computed_once(call_counter):
     fingerprint(untabled)
     assert find_isomorphism(untabled, untabled) is not None
     assert calls["order"] == untabled.order
+
+
+def _class_representatives(lattice):
+    first: dict[int, int] = {}
+    for idx, cls in enumerate(lattice.class_of):
+        first.setdefault(cls, idx)
+    return [lattice.subgroups[idx] for idx in first.values()]
+
+
+def test_invariants_in_the_parent_equal_the_realized_fingerprint(cache_dir):
+    for spec in catalog_specs(max_order=168):
+        group = spec.build()
+        for sub in _class_representatives(all_subgroups(group, cache_dir=cache_dir)):
+            assert invariants(group, sub.members, sub.gens) == fingerprint(sub.as_group()), \
+                (spec.name, sub.members)
+
+
+def test_conjugacy_classes_match_bruteforce_oracle():
+    groups = [spec.build() for spec in catalog_specs(max_order=168)]
+    groups.append(symmetric(4, limits=Limits(cayley_cap=8)))
+    for group in groups:
+        assert conjugacy_classes(group) == oracle_element_classes(group), group.name
+
+
+def test_parent_without_a_table_reads_like_one_with(call_counter):
+    # the mult paths of a parent with no Cayley table agree with the table
+    # reads, and they order only a subgroup's members, never the parent's
+    tabled = symmetric(4)
+    untabled = symmetric(4, limits=Limits(cayley_cap=8))
+    assert untabled.cayley_table is None
+    assert untabled.elements == tabled.elements
+    assert untabled.conjugation_maps == tabled.conjugation_maps
+    for g in range(tabled.order):
+        assert untabled.conjugation_map(g) == tabled.conjugation_map(g)
+        assert ([untabled.conjugate_index(i, g) for i in range(tabled.order)]
+                == [tabled.conjugate_index(i, g) for i in range(tabled.order)])
+    orders = call_counter(Permutation, "order")
+    for sub in _class_representatives(all_subgroups(tabled)):
+        before = orders["order"]
+        fp = invariants(untabled, sub.members, sub.gens)
+        assert fp == invariants(tabled, sub.members, sub.gens), sub.members
+        assert orders["order"] - before <= sub.order
+
+
+def test_conjugacy_classes_read_the_table(call_counter):
+    group = psl2(7)  # a fresh group, whose conjugation maps are not yet built
+    mults = call_counter(FiniteGroup, "mult")
+    classes = conjugacy_classes(group)
+    assert sorted(map(len, classes)) == [1, 21, 24, 24, 42, 56]
+    assert mults["mult"] == 0
 
 
 @pytest.mark.parametrize("cayley_cap", [512, 1], ids=["table", "no-table"])
@@ -238,9 +290,12 @@ def test_classify_matches_per_subgroup_oracle(cache_dir):
 
 
 def test_classify_realizes_one_subgroup_per_conjugacy_class(psl27, psl27_lattice, call_counter):
+    # at most one per conjugacy class (15 of 179 subgroups), and only for a
+    # class that shares its fingerprint with another: PSL(2,7) has two
+    # classes each of V4, A4 and S4
     calls = call_counter(Subgroup, "as_group")
     classify_with_data(psl27, psl27_lattice)
-    assert calls["as_group"] == 15  # one per conjugacy class; 179 subgroups
+    assert calls["as_group"] == 6
     assert len(set(psl27_lattice.class_of)) == 15
 
 

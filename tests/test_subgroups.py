@@ -38,10 +38,15 @@ from isoposet import (
     symmetric,
 )
 from isoposet.catalog import catalog_specs, group_from_name
-from isoposet.invariants import conjugacy_classes
+from isoposet.invariants import conjugacy_classes, invariants
 from isoposet.subgroups import _every_group_cyclic
 
-from oracles import oracle_closure, oracle_conjugacy_classes, oracle_subgroups
+from oracles import (
+    oracle_closure,
+    oracle_conjugacy_classes,
+    oracle_containment,
+    oracle_subgroups,
+)
 
 
 def test_subgroup_counts_cyclic6():
@@ -158,6 +163,15 @@ def test_as_group_without_parent_table_orders_only_its_elements(call_counter):
     assert built["__post_init__"] == 0
 
 
+def test_invariants_without_parent_table_order_only_the_members(call_counter):
+    # the left A5 of A5xA5 fingerprinted in its tableless parent: as in
+    # realizing it, only its own 60 elements are ordered
+    _, _, left = _a5_squared_copies()
+    orders = call_counter(Permutation, "order")
+    assert invariants(left.parent, left.members, left.gens) == fingerprint(alternating(5))
+    assert orders["order"] <= 60
+
+
 def test_enumeration_work_count_psl27(call_counter):
     # a deterministic count, so it guards the cost without a timing bound:
     # one join per conjugacy-class representative and orbit of cyclic
@@ -233,6 +247,22 @@ def test_containment_is_a_partial_order(a5_lattice):
             for m in range(k):
                 if lat.contains(i, j) and lat.contains(j, m):
                     assert lat.contains(i, m)
+
+
+def test_containment_matches_pairwise_oracle(tmp_path, call_counter):
+    # containment read from generators equals every pairwise mask test, on
+    # lattices enumerated and on the same lattices loaded from the cache
+    specs = catalog_specs(max_order=168)
+    assert {"PSL(2,7)", "S5", "SL(2,5)", "A5xZ2"} <= {spec.name for spec in specs}
+    enumerations = call_counter(subgroups, "_enumerate_subgroups")
+    for spec in specs:
+        group = spec.build()
+        for lattice in (all_subgroups(group, cache_dir=tmp_path),
+                        all_subgroups(group, cache_dir=tmp_path)):
+            contains, maximal = oracle_containment(lattice)
+            assert lattice.contains_masks == contains, spec.name
+            assert lattice.maximal_flags == maximal, spec.name
+    assert enumerations["_enumerate_subgroups"] == len(specs)  # each loaded once
 
 
 def test_lattice_closed_under_conjugation():

@@ -86,6 +86,15 @@ def test_normal_structure_enumerates_no_lattice(monkeypatch, sl25, call_counter)
     assert sum(calls.values()) == 18, calls
 
 
+def test_verify_all_realizes_few_subgroups(cache_dir, call_counter):
+    # classification fingerprints its 199 conjugacy-class representatives
+    # in their parents and realizes only the ones it compares, and no
+    # named group's top class is recognized: 77 realizations in all
+    calls = call_counter(subgroups.Subgroup, "as_group")
+    verify_all(cache_dir=cache_dir)
+    assert calls["as_group"] <= 80
+
+
 def test_verify_remark(cache_dir):
     claims = verify_remark(cache_dir=cache_dir)
     assert [c.status for c in claims] == [VERIFIED] * 3
@@ -335,6 +344,21 @@ def test_cli_resource_error(capsys):
 def test_cli_caps_flag(capsys):
     assert main(["group", "PSL(2,5)", "subgroups", "--caps", "30,30"]) == 2
     assert main(["group", "Z6", "subgroups", "--caps", "30,30"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--caps=-5,-1", "group", "S3", "isoposet"],
+    ["--caps", "0,0", "verify", "lemma", "Z6", "Z15"],
+    ["verify", "lemma", "Z6", "Z15", "--caps", "1,0"],
+    ["group", "Z6", "subgroups", "--caps", "0,30"],
+])
+def test_cli_caps_rejects_values_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--caps values start at 1" in err
 
 
 def test_cli_cache_dir_writes(tmp_path, capsys):
