@@ -12,9 +12,10 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from math import gcd
+from typing import Iterator
 
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
-from .perm import FiniteGroup, Permutation, closure
+from .perm import FiniteGroup, Permutation, _unchecked, closure, closure_walk
 
 
 def cyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
@@ -142,9 +143,34 @@ def dicyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     return closure(4 * n, gens, limits=limits, name=f"Dic{n}")
 
 
+def _step(key: int, step: list[int]) -> int:
+    """The key of ``key`` times the generator whose step list is ``step``."""
+    return step[key]
+
+
+def _product_steps(g: FiniteGroup, h: FiniteGroup) -> Iterator[list[int]]:
+    """The step list of each generator of g x h, g's first: entry key is
+    the key of key * generator, over the keys x*|h| + y.  The lists share
+    one int object per key."""
+    n = h.order
+    blocks = [list(range(x, x + n)) for x in range(0, g.order * n, n)]  # keys of each x
+    for move in g.generator_moves():
+        yield [key for x in move for key in blocks[x]]
+    for move in h.generator_moves():
+        yield [block[y] for block in blocks for y in move]
+
+
 def direct_product(g: FiniteGroup, h: FiniteGroup, *, limits: Limits = DEFAULT_LIMITS,
                    name: str | None = None) -> FiniteGroup:
-    """Direct product acting on the disjoint union of the two point sets."""
+    """Direct product acting on the disjoint union of the two point sets.
+
+    Equal to ``closure`` of each factor's generators padded with the other
+    factor's identity, element for element and in its Cayley table, but
+    walked over the integer keys x*|h| + y of the pairs (g's element x,
+    h's element y): a generator's step is one list read, built from its
+    factor's generator moves, and an element is its factors' images
+    joined, so the walk makes no permutation product.
+    """
     degree = g.degree + h.degree
     if degree > limits.degree_cap:
         raise ResourceLimitError(
@@ -160,7 +186,20 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, limits: Limits = DEFAULT_L
     gens += [Permutation(id_g + tuple(x + g.degree for x in p.images)) for p in h.generators]
     if name is None and g.name and h.name:
         name = f"{g.name}x{h.name}"
-    return closure(degree, gens, limits=limits, name=name)
+    keys, table, moves = closure_walk(0, _product_steps(g, h), _step, limits=limits)
+    left = [p.images for p in g.elements]
+    right = [tuple([x + g.degree for x in p.images]) for p in h.elements]
+    n = h.order
+    elements = tuple([_unchecked(left[key // n] + right[key % n]) for key in keys])
+    del keys  # drops the key ints before the group builds its index
+    return FiniteGroup(
+        degree=degree,
+        generators=tuple(gens),
+        elements=elements,
+        cayley_table=table,
+        name=name,
+        moves=moves,
+    )
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the claim registry")
     verify.add_argument("target", choices=("psl25", "psl27", "remark", "lemma", "all"))
     verify.add_argument("groups", nargs="*",
-                        help="two group names, required for 'lemma'")
+                        help="two group names, for 'lemma' only")
     _add_common(verify, suppress=True)
 
     scan_cmd = sub.add_parser("scan", help="digest catalog posets by order")
@@ -175,6 +175,9 @@ def _cmd_verify(args) -> int:
             cache_dir=args.cache_dir,
         )
     else:
+        if args.groups:
+            print(f"verify {args.target} takes no group names", file=sys.stderr)
+            return 2
         runner = {
             "psl25": verify_psl25,
             "psl27": verify_psl27,

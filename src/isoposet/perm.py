@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Hashable, Iterable, Sequence
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A bijection on {0, ..., n-1} stored as its image table."""
 
@@ -119,7 +119,11 @@ class FiniteGroup:
 
     Elements sit in deterministic BFS discovery order: the identity at
     index 0, then the generators applied in input order.  Inverses are
-    read off the Cayley table where there is one.  Instances are
+    read off the Cayley table where there is one.  A group too large for
+    a table keeps ``moves`` instead, right multiplication by each
+    generator as an index map (``moves[k][a]`` is the index of
+    elements[a] * generators[k]), which its closure walk computes anyway;
+    a table's generator columns are the same maps.  Instances are
     immutable and all operations on them are pure, so groups can be
     shared freely across threads.  Construct through :func:`closure` or
     the catalog module.
@@ -132,11 +136,14 @@ class FiniteGroup:
     elements: tuple[Permutation, ...]
     cayley_table: tuple[tuple[int, ...], ...] | None
     name: str | None = None
+    moves: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         index = {p.images: i for i, p in enumerate(self.elements)}
         if len(index) != len(self.elements):
             raise ValueError("duplicate elements")
+        if self.cayley_table is None and self.moves is None:
+            raise ValueError("a group with no Cayley table needs its generators' moves")
         object.__setattr__(self, "_index", index)
 
     @property
@@ -195,6 +202,14 @@ class FiniteGroup:
 
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(self._index[g.images] for g in self.generators)
+
+    def generator_moves(self) -> Sequence[Sequence[int]]:
+        """Right multiplication by each generator as an index map: the
+        Cayley table's generator columns, or else ``moves``."""
+        table = self.cayley_table
+        if table is None:
+            return self.moves
+        return [[row[g] for row in table] for g in self.generator_indices()]
 
     def closure_indices(
         self, seed: Iterable[int], stop_above: int | None = None
@@ -289,53 +304,61 @@ class FiniteGroup:
         return f"<{label}: order {self.order}, degree {self.degree}>"
 
 
-def _close(identity: Hashable, gens: Sequence[Hashable],
-           mul: Callable[[Hashable, Hashable], Hashable], limits: Limits,
-           ) -> tuple[list, tuple[tuple[int, ...], ...] | None]:
-    """Breadth-first closure of ``gens`` under ``mul``, and its Cayley table.
+def closure_walk(identity: Hashable, gens: Iterable[Hashable],
+                 mul: Callable[[Hashable, Hashable], Hashable], *,
+                 limits: Limits = DEFAULT_LIMITS,
+                 ) -> tuple[list, tuple[tuple[int, ...], ...] | None,
+                            tuple[tuple[int, ...], ...] | None]:
+    """Breadth-first closure of ``gens`` under ``mul``: its keys in
+    discovery order, its Cayley table, and its generator moves.
 
-    Elements are any hashable keys: ``mul(a, b)`` is the key of a*b.
-    Discovery order starts at ``identity`` and applies the generators in
-    input order, so equal inputs give equal orderings.
+    Elements are any hashable keys: ``mul(a, b)`` is the key of a times
+    the generator b.  Discovery order starts at ``identity`` and applies
+    the generators in input order, so equal inputs give equal orderings,
+    and keys that stand one-to-one for permutations give the order that
+    :func:`closure` gives those permutations.  ``gens`` may be an
+    iterator, so that the walk holds the only reference to each generator
+    and drops it on return.
 
     Within ``cayley_cap`` the Cayley table is built from columns already
     built: each element c other than the identity was first reached as
     c = a*g from an earlier element a and a generator g, so x*c = (x*a)*g
     and column c is column a read through g's right-multiplication map.
     The walk already took those products, so the table takes no ``mul``
-    call of its own.
+    call of its own.  Past the cap the maps themselves are returned as the
+    moves, and the table is None; within it the moves are None.
     """
+    gens = list(gens)
+    cap = limits.element_cap
     index = {identity: 0}
     elems = [identity]
-    parents: list[tuple[int, int]] = []  # (a, k) for elems[1:]: a * gens[k]
     right: list[list[int]] = [[] for _ in gens]  # right[k][a]: index of a * gens[k]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ai in frontier:
-            a = elems[ai]
-            for k, b in enumerate(gens):
-                c = mul(a, b)
-                ci = index.get(c)
-                if ci is None:
-                    ci = index[c] = len(elems)
-                    nxt.append(ci)
-                    elems.append(c)
-                    parents.append((ai, k))
-                right[k].append(ci)
-        if len(elems) > limits.element_cap:
-            raise ResourceLimitError(
-                f"closure reached more than {limits.element_cap} elements "
-                f"(element cap {limits.element_cap})"
-            )
-        frontier = nxt
-    if len(elems) > limits.cayley_cap:
-        return elems, None
-    columns = [tuple(range(len(elems)))]
-    for ai, k in parents:
-        column, move = columns[ai], right[k]
-        columns.append(tuple([move[x] for x in column]))
-    return elems, tuple(zip(*columns))
+    steps = list(zip(gens, [move.append for move in right]))
+    for a in elems:  # grows as the walk reaches new elements, in BFS order
+        for b, record in steps:
+            c = mul(a, b)
+            ci = index.get(c)
+            if ci is None:
+                ci = index[c] = len(elems)
+                if ci == cap:
+                    raise ResourceLimitError(
+                        f"closure reached more than {cap} elements (element cap {cap})"
+                    )
+                elems.append(c)
+            record(ci)
+    n = len(elems)
+    if n > limits.cayley_cap:
+        for k, move in enumerate(right):  # one list at a time, so no two copies
+            right[k] = tuple(move)
+        return elems, None, tuple(right)
+    columns: list[tuple[int, ...] | None] = [None] * n
+    columns[0] = tuple(range(n))
+    for a, column in enumerate(columns):  # column a is built before a is read
+        for move in right:
+            c = move[a]
+            if columns[c] is None:
+                columns[c] = tuple([move[x] for x in column])
+    return elems, tuple(zip(*columns)), None
 
 
 def closure(
@@ -358,14 +381,15 @@ def closure(
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} does not match {degree}")
-    elems, table = _close(tuple(range(degree)), [g.images for g in generators],
-                          _product, limits)
+    elems, table, moves = closure_walk(tuple(range(degree)), [g.images for g in generators],
+                                       _product, limits=limits)
     return FiniteGroup(
         degree=degree,
         generators=tuple(generators),
-        elements=tuple([_unchecked(e) for e in elems]),
+        elements=tuple(map(_unchecked, elems)),
         cayley_table=table,
         name=name,
+        moves=moves,
     )
 
 
@@ -381,13 +405,14 @@ def realize(parent: FiniteGroup, gens: Sequence[int], *,
     parent has a Cayley table (a parent without one is too large to order
     every element for the sake of one subgroup).
     """
-    keys, table = _close(parent.identity_index, gens, parent.mult, limits)
+    keys, table, moves = closure_walk(parent.identity_index, gens, parent.mult, limits=limits)
     elements = parent.elements
     group = FiniteGroup(
         degree=parent.degree,
         generators=tuple(elements[g] for g in gens),
-        elements=tuple(elements[i] for i in keys),
+        elements=tuple([elements[i] for i in keys]),
         cayley_table=table,
+        moves=moves,
     )
     if parent.cayley_table is not None:
         orders = parent.element_orders

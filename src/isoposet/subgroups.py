@@ -99,16 +99,46 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
 
 
 def _right_cosets(group: FiniteGroup, sub: Subgroup) -> tuple[list[int], list[int]]:
-    """Coset id of every element under right cosets H*g, and one
-    representative per coset, in order of first appearance."""
+    """Coset id of every element under right cosets H*g, and each coset's
+    least member as its representative; ids follow the representatives.
+
+    Whole cosets are moved: a generator's right-multiplication map sends
+    coset H*x, member by member, onto coset H*x*s, so the cosets are
+    labelled without a product and then renumbered by least member.
+    """
     coset_of = [-1] * group.order
+    for h in sub.members:
+        coset_of[h] = 0
+    count = 1
+    moves = group.generator_moves()
+    todo = [sub.members]  # cosets not yet moved
+    while todo:
+        members = todo.pop()
+        for move in moves:
+            if coset_of[move[members[0]]] < 0:
+                image = [move[x] for x in members]
+                for x in image:
+                    coset_of[x] = count
+                count += 1
+                todo.append(image)
+    renumber = [-1] * count
     reps: list[int] = []
-    for i in range(group.order):
-        if coset_of[i] < 0:
-            for h in sub.members:
-                coset_of[group.mult(h, i)] = len(reps)
+    for i, c in enumerate(coset_of):
+        if renumber[c] < 0:
+            renumber[c] = len(reps)
             reps.append(i)
+        coset_of[i] = renumber[c]
     return coset_of, reps
+
+
+def _coset_images(group: FiniteGroup, coset_of: Sequence[int], reps: Sequence[int],
+                  g: int) -> list[int]:
+    """The coset that right multiplication by element ``g`` sends each
+    coset to, read from the Cayley table rows where there is a table."""
+    table = group.cayley_table
+    if table is None:
+        return [coset_of[group.mult(r, g)] for r in reps]
+    return [coset_of[table[r][g]] for r in reps]
 
 
 def coset_action(group: FiniteGroup, normal: Subgroup, *,
@@ -116,20 +146,18 @@ def coset_action(group: FiniteGroup, normal: Subgroup, *,
     """The quotient group realized by the action on cosets of ``normal``.
 
     The returned permutation group acts on the |G|/|N| cosets and is
-    isomorphic to G/N; raises ValueError if N is not normal.
+    isomorphic to G/N; raises ValueError if N is not normal.  Each
+    generator's action is read through its right-multiplication map.
     """
     if normal.parent is not group:
         raise ValueError("subgroup does not belong to this group")
     if not is_normal(group, normal):
         raise ValueError("coset_action requires a normal subgroup")
     coset_of, reps = _right_cosets(group, normal)
-    ncos = len(reps)
-    gens = [
-        Permutation(tuple(coset_of[group.mult(reps[c], g)] for c in range(ncos)))
-        for g in group.generator_indices()
-    ]
+    gens = [Permutation(tuple([coset_of[move[r]] for r in reps]))
+            for move in group.generator_moves()]
     qname = f"{group.name}/N{normal.order}" if group.name else None
-    return closure(ncos, gens, limits=limits, name=qname)
+    return closure(len(reps), gens, limits=limits, name=qname)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,9 +447,10 @@ def is_maximal(group: FiniteGroup, sub: Subgroup) -> bool:
     """True iff extending ``sub`` by any outside element generates the group.
 
     Works without enumerating the subgroup lattice, so it is usable above
-    the enumeration cap.  <H, g> = <H, h*g> for h in H, so one candidate
-    per nontrivial coset suffices, and |<H, g>| = |H| * (orbit of the
-    trivial coset under <H, g>) in the right-coset action.
+    the enumeration cap.  <H, g> = <H, h*g*h'> for h, h' in H, so one
+    candidate per double coset HgH other than H suffices, and |<H, g>| =
+    |H| * (orbit of the trivial coset under <H, g>) in the right-coset
+    action.  The right cosets in HgH are the orbit of H*g under H.
     """
     if sub.parent is not group:
         raise ValueError("subgroup does not belong to this group")
@@ -429,18 +458,14 @@ def is_maximal(group: FiniteGroup, sub: Subgroup) -> bool:
         raise ValueError("maximality is undefined for the whole group")
     coset_of, reps = _right_cosets(group, sub)
     ncos = len(reps)
-    hacts = [
-        [coset_of[group.mult(reps[c], g)] for c in range(ncos)]
-        for g in sub.gens
-        if g != group.identity_index
-    ]
-    for r in reps[1:]:
-        racts = [coset_of[group.mult(reps[c], r)] for c in range(ncos)]
-        acts = hacts + [racts]
-        seen = bytearray(ncos)
-        seen[0] = 1
+    hacts = [_coset_images(group, coset_of, reps, h)
+             for h in sub.gens if h != group.identity_index]
+
+    def orbit_size(start: int, acts: list[list[int]], seen: bytearray) -> int:
+        """Marks the orbit of coset ``start`` under ``acts`` in ``seen``."""
+        seen[start] = 1
         count = 1
-        stack = [0]
+        stack = [start]
         while stack:
             x = stack.pop()
             for act in acts:
@@ -449,8 +474,17 @@ def is_maximal(group: FiniteGroup, sub: Subgroup) -> bool:
                     seen[y] = 1
                     count += 1
                     stack.append(y)
-        if count < ncos:
-            return False
+        return count
+
+    covered = bytearray(ncos)  # the cosets of double cosets already tried
+    covered[0] = 1
+    for c in range(1, ncos):
+        if not covered[c]:
+            r = reps[c]
+            orbit_size(c, hacts, covered)  # the cosets in H*r*H
+            racts = _coset_images(group, coset_of, reps, r)
+            if orbit_size(0, hacts + [racts], bytearray(ncos)) < ncos:
+                return False
     return True
 
 

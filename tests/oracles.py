@@ -3,8 +3,10 @@
 These stay deliberately independent of the library's search code: the group
 oracle enumerates order-respecting bijections outright, the poset oracle
 enumerates all node bijections, the subgroup oracle closes every small
-element subset, the conjugacy oracles conjugate by every element, and the
-containment oracle tests every pair of member sets.
+element subset, the conjugacy oracles conjugate by every element, the
+containment oracle tests every pair of member sets, the coset oracle
+multiplies every subgroup member by every element, and the product oracle
+closes the padded generators as permutations.
 The classification oracle is the exception: it is the per-subgroup
 classification that the one-per-conjugacy-class path replaced, run on
 every subgroup with the library's own isomorphism search.
@@ -14,7 +16,17 @@ from __future__ import annotations
 
 import itertools
 
-from isoposet import FiniteGroup, Poset, element_order, find_isomorphism, fingerprint
+from isoposet import (
+    DEFAULT_LIMITS,
+    FiniteGroup,
+    Limits,
+    Permutation,
+    Poset,
+    closure,
+    element_order,
+    find_isomorphism,
+    fingerprint,
+)
 
 
 def oracle_group_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
@@ -157,3 +169,29 @@ def oracle_classify(group: FiniteGroup, lattice) -> list[tuple[tuple[int, ...], 
         out += [(tuple(cls), fp, cls[0]) for cls in classes]
     out.sort(key=lambda cls: (cls[1], cls[0]))
     return out
+
+
+def oracle_right_cosets(group: FiniteGroup, members) -> tuple[list[int], list[int]]:
+    """Coset id of every element under right cosets H*g, numbered in order
+    of least member, and that least member of each coset: every h*g read
+    through ``mult``."""
+    coset_of = [-1] * group.order
+    reps: list[int] = []
+    for g in range(group.order):
+        if coset_of[g] < 0:
+            for h in members:
+                coset_of[group.mult(h, g)] = len(reps)
+            reps.append(g)
+    return coset_of, reps
+
+
+def oracle_direct_product(g: FiniteGroup, h: FiniteGroup, *,
+                          limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+    """G x H as ``closure`` of each factor's generators padded with the
+    other factor's identity, on the disjoint union of their points."""
+    degree = g.degree + h.degree
+    gens = [Permutation(p.images + tuple(range(g.degree, degree))) for p in g.generators]
+    gens += [Permutation(tuple(range(g.degree)) + tuple(x + g.degree for x in p.images))
+             for p in h.generators]
+    name = f"{g.name}x{h.name}" if g.name and h.name else None
+    return closure(degree, gens, limits=limits, name=name)

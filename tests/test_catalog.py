@@ -5,11 +5,13 @@ import pytest
 
 import isoposet
 from isoposet import (
-    ResourceLimitError,
     Limits,
+    Permutation,
+    ResourceLimitError,
     alternating,
     are_isomorphic,
     catalog_for_order,
+    closure,
     cyclic,
     dicyclic,
     dihedral,
@@ -23,6 +25,9 @@ from isoposet import (
     spec_from_name,
     symmetric,
 )
+from isoposet.catalog import catalog_specs
+
+from oracles import oracle_direct_product
 
 
 @pytest.mark.parametrize("builder,arg,expected", [
@@ -124,6 +129,46 @@ def test_direct_product_order_and_degree():
 def test_direct_product_with_trivial():
     g = direct_product(symmetric(3), cyclic(1))
     assert are_isomorphic(g, symmetric(3))
+
+
+def _assert_same_product(product, expected):
+    assert product.generators == expected.generators
+    assert product.elements == expected.elements
+    assert product.cayley_table == expected.cayley_table
+    assert product.moves == expected.moves
+    assert product.name == expected.name
+
+
+@pytest.mark.parametrize("spec", [spec for spec in catalog_specs() if spec.kind == "product"],
+                         ids=lambda spec: spec.name)
+def test_catalog_product_equals_closure(spec):
+    left, right = (group_from_name(name) for name in spec.params)
+    _assert_same_product(direct_product(left, right), oracle_direct_product(left, right))
+    built = spec.build()
+    assert built.name == spec.name
+    assert built.elements == direct_product(left, right).elements
+
+
+def _repeated_identity_z3():
+    c = Permutation.from_cycles(3, (0, 1, 2))
+    ident = Permutation.identity(3)
+    return closure(3, [ident, c, ident, c], name="Z3")
+
+
+@pytest.mark.parametrize("build,limits", [
+    (lambda: (alternating(5), alternating(5)), Limits()),
+    (lambda: (cyclic(1), cyclic(1)), Limits()),
+    (lambda: (symmetric(4, limits=Limits(cayley_cap=8)), cyclic(2)), Limits()),
+    (lambda: (symmetric(4, limits=Limits(cayley_cap=8)), cyclic(2)), Limits(cayley_cap=8)),
+    (lambda: (_repeated_identity_z3(), cyclic(2)), Limits()),
+    (lambda: (cyclic(2), _repeated_identity_z3()), Limits(cayley_cap=4)),
+], ids=["A5xA5", "Z1xZ1", "tableless-S4xZ2", "tableless-S4xZ2-no-table",
+        "repeated-identity", "repeated-identity-right"])
+def test_direct_product_equals_closure(build, limits):
+    left, right = build()
+    product = direct_product(left, right, limits=limits)
+    _assert_same_product(product, oracle_direct_product(left, right, limits=limits))
+    assert (product.cayley_table is None) == (product.order > limits.cayley_cap)
 
 
 def test_direct_product_respects_caps():

@@ -31,6 +31,7 @@ from isoposet import (
     is_solvable,
     normal_subgroups,
     order_shape,
+    perm,
     psl2,
     subgroup_from_members,
     subgroup_generated_by,
@@ -45,6 +46,7 @@ from oracles import (
     oracle_closure,
     oracle_conjugacy_classes,
     oracle_containment,
+    oracle_right_cosets,
     oracle_subgroups,
 )
 
@@ -288,14 +290,69 @@ def test_prime_order_subgroup_count_crosscheck():
             assert actual == expected, (group.name, p)
 
 
+_NO_TABLE = Limits(cayley_cap=8)
+
+
 def test_is_maximal_matches_lattice_flags():
-    for group in (cyclic(12), symmetric(4), alternating(4), dihedral(12),
-                  dicyclic(3), alternating(5)):
-        lattice = all_subgroups(group)
-        for i, sub in enumerate(lattice.subgroups):
-            if sub.order == group.order:
-                continue
-            assert is_maximal(group, sub) == lattice.maximal_flags[i], (group.name, i)
+    # each group with its Cayley table and again without one, where cosets
+    # are labelled through the generator moves and candidates act by mult
+    for limits in (Limits(), _NO_TABLE):
+        for group in (cyclic(12, limits=limits), symmetric(4, limits=limits),
+                      alternating(4, limits=limits), dihedral(12, limits=limits),
+                      dicyclic(3, limits=limits), alternating(5, limits=limits),
+                      group_from_name("A5xZ2", limits=limits),
+                      group_from_name("D10xS3", limits=limits)):
+            assert (group.cayley_table is None) == (limits is _NO_TABLE)
+            lattice = all_subgroups(group)
+            for i, sub in enumerate(lattice.subgroups):
+                if sub.order == group.order:
+                    continue
+                assert is_maximal(group, sub) == lattice.maximal_flags[i], (group.name, i)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+@pytest.mark.parametrize("limits", [Limits(), _NO_TABLE], ids=["table", "no-table"])
+def test_right_cosets_match_oracle(name, limits):
+    group = group_from_name(name, limits=limits)
+    for sub in all_subgroups(group).subgroups:
+        assert subgroups._right_cosets(group, sub) == oracle_right_cosets(group, sub.members)
+
+
+def test_a5_squared_diagonal_maximal_and_copy_not():
+    product, diagonal, left = _a5_squared_copies()
+    assert product.cayley_table is None
+    assert is_maximal(product, diagonal)
+    assert not is_maximal(product, left)
+
+
+def test_direct_product_makes_no_permutation_product(a5, call_counter):
+    products = call_counter(perm, "_product")
+    product = direct_product(a5, a5)
+    assert product.order == 3600
+    assert products["_product"] == 0  # 14,400 when closed as permutations
+
+
+def test_is_maximal_work_count_a5_squared(call_counter):
+    # right cosets are labelled through the generator moves, with no
+    # product; then each of H's two generators and one candidate per double
+    # coset act on the 60 cosets: 4 candidates for the diagonal, whose
+    # double cosets are A5's conjugacy classes, and 1 for the left copy,
+    # whose first candidate already fails
+    product, diagonal, left = _a5_squared_copies()
+    mults = call_counter(FiniteGroup, "mult")
+    assert is_maximal(product, diagonal)
+    assert mults["mult"] <= 360  # 7,260 when each coset took 60 products
+    mults.clear()
+    assert not is_maximal(product, left)
+    assert mults["mult"] <= 180  # 3,780
+
+
+def test_coset_action_with_table_makes_no_mult(sl25, call_counter):
+    center = next(n for n in normal_subgroups(sl25) if n.order == 2)
+    mults = call_counter(FiniteGroup, "mult")
+    quotient = coset_action(sl25, center)
+    assert quotient.order == 60
+    assert mults["mult"] == 0
 
 
 def test_is_maximal_rejects_full_group():
@@ -420,6 +477,26 @@ def test_composition_factors_match_sympy():
         ratios = sorted(a.order() // b.order() for a, b in zip(series, series[1:]))
         assert mine == ratios, spec.name
     assert solvable == 48
+
+
+def test_group_invariants_match_sympy(a5):
+    # an independent implementation: order, solvability, centre size,
+    # derived-subgroup order and conjugacy-class sizes of every catalog
+    # group and of A5xA5, which has no Cayley table
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    groups = [spec.build() for spec in catalog_specs()] + [direct_product(a5, a5)]
+    assert len(groups) == 54
+    for group in groups:
+        other = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p.images)) for p in group.generators]
+        )
+        fp = fingerprint(group)
+        mine = (group.order, is_solvable(group), fp.center_size, fp.derived_size,
+                list(fp.class_sizes))
+        theirs = (other.order(), other.is_solvable, other.center().order(),
+                  other.derived_subgroup().order(),
+                  sorted(len(c) for c in other.conjugacy_classes()))
+        assert mine == theirs, group.name
 
 
 def test_normal_subgroups_match_lattice(cache_dir):

@@ -309,6 +309,15 @@ def test_cli_verify_lemma_needs_two_groups(capsys):
     assert main(["verify", "lemma", "Z6"]) == 2
 
 
+@pytest.mark.parametrize("target", ["psl25", "psl27", "remark", "all"])
+def test_cli_verify_rejects_group_names_outside_lemma(capsys, target):
+    # the names would otherwise be dropped and the run would exit 0
+    assert main(["verify", target, "Z6", "Z15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"verify {target} takes no group names" in captured.err
+
+
 def test_cli_scan(capsys, cache_dir):
     assert main(["scan", "--orders", "6,15", "--cache-dir", cache_dir]) == 0
     assert "collision" in capsys.readouterr().out
