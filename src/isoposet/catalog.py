@@ -11,17 +11,32 @@ import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
-from math import gcd
+from math import factorial, gcd
 from typing import Iterator
 
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup, Permutation, _unchecked, closure, closure_walk
 
 
+def _check_order(name: str, order: int, limits: Limits) -> None:
+    """Refuse a group whose order, known from its parameters, is past
+    ``element_cap``, before a permutation of it is built."""
+    if order > limits.element_cap:
+        cap = limits.element_cap
+        raise ResourceLimitError(f"{name} has more than {cap} elements (element cap {cap})")
+
+
+def _factorial_within(n: int, bound: int) -> int:
+    """n! if it is at most ``bound``, or else some k! above it: with b the
+    bit length of bound, (b+2)! > 2^b > bound, so n is cut at b+2."""
+    return factorial(min(n, bound.bit_length() + 2))
+
+
 def cyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Cyclic group of order n as the n-cycle on n points."""
     if n < 1:
         raise ValueError(f"cyclic order must be positive, got {n}")
+    _check_order(f"Z{n}", n, limits)
     if n == 1:
         return closure(1, [], limits=limits, name="Z1")
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
@@ -32,6 +47,7 @@ def dihedral(order: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Dihedral group of the given order (order = 2n, n >= 3) on n points."""
     if order < 6 or order % 2:
         raise ValueError(f"dihedral order must be an even number >= 6, got {order}")
+    _check_order(f"D{order}", order, limits)
     n = order // 2
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
     flip = Permutation(tuple((-i) % n for i in range(n)))
@@ -42,6 +58,7 @@ def symmetric(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Symmetric group on n points."""
     if n < 1:
         raise ValueError(f"symmetric degree must be positive, got {n}")
+    _check_order(f"S{n}", _factorial_within(n, limits.element_cap), limits)
     if n == 1:
         return closure(1, [], limits=limits, name="S1")
     gens = [Permutation.from_cycles(n, (0, 1))]
@@ -54,6 +71,7 @@ def alternating(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Alternating group on n points, n >= 3."""
     if n < 3:
         raise ValueError(f"alternating degree must be at least 3, got {n}")
+    _check_order(f"A{n}", _factorial_within(n, 2 * limits.element_cap) // 2, limits)
     gens = [Permutation.from_cycles(n, (0, 1, 2))]
     if n > 3:
         if n % 2:
@@ -109,15 +127,19 @@ def _least_multiplier(n: int, m: int) -> int:
     raise ValueError(f"no multiplier has order {m} mod {n}")
 
 
-def semidirect_cyclic(n: int, m: int, k: int, *, limits: Limits = DEFAULT_LIMITS,
-                      name: str | None = None) -> FiniteGroup:
+def semidirect_cyclic(n: int, m: int, k: int | None = None, *,
+                      limits: Limits = DEFAULT_LIMITS, name: str | None = None) -> FiniteGroup:
     """Zn semidirect Zm on n points, generated by x -> x+1 and x -> k*x mod n.
 
     Requires k to have multiplicative order exactly m mod n, which makes the
-    action faithful and the group order n*m.
+    action faithful and the group order n*m; k defaults to the least such
+    multiplier.
     """
     if n < 2 or m < 1:
         raise ValueError(f"invalid semidirect parameters n={n}, m={m}")
+    _check_order(name or f"Z{n}:Z{m}", n * m, limits)
+    if k is None:
+        k = _least_multiplier(n, m)
     if gcd(k, n) != 1:
         raise ValueError(f"multiplier {k} is not invertible mod {n}")
     ord_k = _multiplicative_order(k, n)
@@ -136,6 +158,7 @@ def dicyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """
     if n < 2:
         raise ValueError(f"dicyclic parameter must be at least 2, got {n}")
+    _check_order(f"Dic{n}", 4 * n, limits)
     m = 2 * n
     x_images = [(a + 1) % m for a in range(m)] + [m + (a - 1) % m for a in range(m)]
     y_images = [m + a for a in range(m)] + [(a + n) % m for a in range(m)]
@@ -215,11 +238,18 @@ class GroupSpec:
     params: tuple = ()
 
     def build(self, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
-        if self.kind == "product":
-            left, right = (group_from_name(p, limits=limits) for p in self.params)
-            return direct_product(left, right, limits=limits, name=self.name)
-        group = _KINDS[self.kind][1](*self.params, limits=limits)
-        return group if group.name == self.name else replace(group, name=self.name)
+        if self.kind != "product":
+            group = _KINDS[self.kind][1](*self.params, limits=limits)
+            return group if group.name == self.name else replace(group, name=self.name)
+        # AxBxC is A x (BxC), each product named by its own text; the chain
+        # is built from its right end in a loop, so its length costs no depth
+        factors = f"{self.params[0]}x{self.params[1]}".split("x")
+        group = group_from_name(factors[-1], limits=limits)
+        for i in reversed(range(len(factors) - 1)):
+            name = "x".join(factors[i:]).strip() if i else self.name
+            group = direct_product(group_from_name(factors[i], limits=limits), group,
+                                   limits=limits, name=name)
+        return group
 
 
 @dataclass(frozen=True)
@@ -242,10 +272,7 @@ _KINDS = {
     "dicyclic": (re.compile(r"Dic(\d+)"), dicyclic),
     "psl2": (re.compile(r"PSL\(2,(\d+)\)"), psl2),
     "sl2_5": (re.compile(r"SL\(2,5\)"), sl2_5),
-    "semidirect_cyclic": (
-        re.compile(r"Z(\d+):Z(\d+)"),
-        lambda n, m, *, limits: semidirect_cyclic(n, m, _least_multiplier(n, m), limits=limits),
-    ),
+    "semidirect_cyclic": (re.compile(r"Z(\d+):Z(\d+)"), semidirect_cyclic),
 }
 
 # names outside the grammar, each standing for a grammar name
@@ -264,9 +291,9 @@ def spec_from_name(name: str) -> GroupSpec:
         spec = spec_from_name(_ALIASES[name])
         return spec if name == "1" else replace(spec, name=name)  # 1 is named Z1
     if "x" in name:
+        for factor in name.split("x"):
+            spec_from_name(factor)  # validate every factor; none is a product
         left, _, right = name.partition("x")
-        spec_from_name(left)
-        spec_from_name(right)  # validate both halves
         return GroupSpec(name, "product", (left, right))
     for kind, (pattern, _) in _KINDS.items():
         match = pattern.fullmatch(name)

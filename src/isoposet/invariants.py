@@ -81,18 +81,14 @@ def invariants(parent: FiniteGroup, members: Sequence[int],
     ``members`` generated by ``gens``, read in the parent.
 
     It equals the fingerprint of the subgroup realized as a group of its
-    own.  Element orders are the parent's; a parent without a Cayley table
-    orders only the members, as realizing the subgroup would.  Conjugacy
-    classes are the orbits of conjugation by ``gens``, and the centre is
-    their singletons: a subgroup is abelian iff its centre is all of it.
+    own.  Element orders come from the parent's
+    :meth:`~FiniteGroup.orders_of`, as realizing the subgroup takes them.
+    Conjugacy classes are the orbits of conjugation by ``gens``, and the
+    centre is their singletons: a subgroup is abelian iff its centre is
+    all of it.
     """
-    whole = len(members) == parent.order
-    if parent.cayley_table is not None or whole:
-        parent_orders = parent.element_orders
-        orders = [parent_orders[x] for x in members]
-    else:
-        orders = [parent.elements[x].order() for x in members]
-    if whole:  # conjugation by any generating set has the same orbits
+    orders = parent.orders_of(members)
+    if len(members) == parent.order:  # conjugation by any generating set has the same orbits
         maps = parent.conjugation_maps
     else:
         maps = [{x: parent.conjugate_index(x, g) for x in members}

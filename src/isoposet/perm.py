@@ -184,21 +184,17 @@ class FiniteGroup:
             return table[table[self._inverses[g]][i]][g]
         return self.mult(self.mult(self._inverses[g], i), g)
 
-    def conjugation_map(self, g: int) -> tuple[int, ...]:
-        """i -> g^-1 * i * g as an index tuple.
-
-        With a Cayley table, row g^-1 holds every g^-1 * i, and column g of
-        its row is g^-1 * i * g.
-        """
-        table = self.cayley_table
-        if table is not None:
-            return tuple([table[x][g] for x in table[self._inverses[g]]])
-        return tuple([self.conjugate_index(i, g) for i in range(self.order)])
-
     @cached_property
     def conjugation_maps(self) -> tuple[tuple[int, ...], ...]:
-        """The conjugation map of each distinct generator."""
-        return tuple(map(self.conjugation_map, dict.fromkeys(self.generator_indices())))
+        """The conjugation map of each distinct generator, read through its
+        right-multiplication map m and the inverses: g^-1 * x * g is
+        m[inv[m[inv[x]]]], as inv[m[inv[x]]] = (x^-1 * g)^-1 = g^-1 * x."""
+        inv = self._inverses
+        maps: dict[int, tuple[int, ...]] = {}
+        for g, move in zip(self.generator_indices(), self.generator_moves()):
+            if g not in maps:
+                maps[g] = tuple([move[inv[move[y]]] for y in inv])
+        return tuple(maps.values())
 
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(self._index[g.images] for g in self.generators)
@@ -244,6 +240,35 @@ class FiniteGroup:
         members.sort()
         return members
 
+    def join(self, members: Sequence[int], gens: Sequence[int], c: int,
+             stop_above: int | None = None) -> list[int] | None:
+        """Sorted element indices of <H, c> for the subgroup H = ``members``
+        generated by ``gens``, or None once it exceeds ``stop_above`` members.
+
+        Dimino's closure: the join is grown as a union of whole cosets e*H,
+        each a Cayley table row read at H's members, or else their products.
+        The union is closed under left multiplication by every generator s
+        once s*r lies in it for each coset representative r, since then
+        s*r*H is one of its cosets.
+        """
+        table, mult = self.cayley_table, self.mult
+        gens = [*gens, c]
+        inside = set(members)
+        reps = [self.identity_index]
+        for r in reps:  # grows with each new coset, so every growth is checked
+            if stop_above is not None and len(inside) > stop_above:
+                return None
+            for s in gens:
+                e = mult(s, r) if table is None else table[s][r]
+                if e not in inside:
+                    if table is None:
+                        inside.update([mult(e, h) for h in members])
+                    else:
+                        row = table[e]
+                        inside.update([row[h] for h in members])
+                    reps.append(e)
+        return sorted(inside)
+
     def normal_closure_indices(self, seed: Iterable[int],
                                conjugators: Sequence[int]) -> list[int]:
         """Sorted element indices of the least subgroup that contains
@@ -251,8 +276,9 @@ class FiniteGroup:
 
         Only the generators found so far are conjugated: the closure is
         normalized once each generator's conjugates lie in it, and every
-        conjugate that does not becomes a generator, at least doubling it.
-        A closure past half the group is the whole group, by Lagrange.
+        conjugate that does not is joined onto it as a new generator, at
+        least doubling it.  A closure past half the group is the whole
+        group, by Lagrange.
         """
         gens = [g for g in dict.fromkeys(seed) if g != self.identity_index]
         half, whole = self.order // 2, list(range(self.order))
@@ -262,21 +288,33 @@ class FiniteGroup:
             for c in conjugators:
                 y = self.conjugate_index(g, c)
                 if y not in inside:
+                    members = self.join(members, gens, y, stop_above=half) or whole
                     gens.append(y)
-                    members = self.closure_indices(gens, stop_above=half) or whole
                     inside = set(members)
         return members
 
     def greedy_generator_indices(self, members: Sequence[int] | None = None) -> tuple[int, ...]:
-        """Small generating set: repeatedly take the lowest index not yet generated."""
-        pool = list(members) if members is not None else list(range(self.order))
+        """Small generating set: repeatedly take the lowest index not yet
+        generated, joining it onto the subgroup generated so far."""
+        pool = members if members is not None else range(self.order)
         gens: list[int] = []
-        covered = {self.identity_index}
+        current = [self.identity_index]
+        covered = set(current)
         for m in pool:
             if m not in covered:
+                current = self.join(current, gens, m)
                 gens.append(m)
-                covered = set(self.closure_indices(gens))
+                covered = set(current)
         return tuple(gens)
+
+    def orders_of(self, indices: Sequence[int]) -> list[int]:
+        """Order of each element in ``indices``, read off the table; a group
+        without one orders only those permutations, unless they are all of
+        its elements, so that a subgroup never orders its whole parent."""
+        if self.cayley_table is not None or len(indices) == self.order:
+            orders = self.element_orders
+            return [orders[i] for i in indices]
+        return [self.elements[i].order() for i in indices]
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -401,9 +439,8 @@ def realize(parent: FiniteGroup, gens: Sequence[int], *,
     The result equals ``closure(parent.degree, [parent.elements[g] for g in
     gens])`` element for element, with the same caps, but it is walked over
     parent indices through ``parent.mult``, reuses the parent's
-    permutations, and takes its element orders from the parent's when the
-    parent has a Cayley table (a parent without one is too large to order
-    every element for the sake of one subgroup).
+    permutations, and takes its element orders from the parent's
+    :meth:`~FiniteGroup.orders_of`.
     """
     keys, table, moves = closure_walk(parent.identity_index, gens, parent.mult, limits=limits)
     elements = parent.elements
@@ -414,10 +451,8 @@ def realize(parent: FiniteGroup, gens: Sequence[int], *,
         cayley_table=table,
         moves=moves,
     )
-    if parent.cayley_table is not None:
-        orders = parent.element_orders
-        # fills the cached_property, as its first read would
-        object.__setattr__(group, "element_orders", tuple(orders[i] for i in keys))
+    # fills the cached_property, as its first read would
+    object.__setattr__(group, "element_orders", tuple(parent.orders_of(keys)))
     return group
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .invariants import Fingerprint, conjugacy_classes, derived_subgroup_indices, fingerprint
+from .invariants import (Fingerprint, _orbits, conjugacy_classes, derived_subgroup_indices,
+                         fingerprint)
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup, Permutation, closure, element_order, realize
 
@@ -89,13 +90,7 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     if sub.parent is not group:
         raise ValueError("subgroup does not belong to this group")
     # invariance under conjugation by generators suffices
-    for g in group.generator_indices():
-        conj = 0
-        for h in sub.members:
-            conj |= 1 << group.conjugate_index(h, g)
-        if conj != sub.mask:
-            return False
-    return True
+    return all(_mask(cmap[h] for h in sub.members) == sub.mask for cmap in group.conjugation_maps)
 
 
 def _right_cosets(group: FiniteGroup, sub: Subgroup) -> tuple[list[int], list[int]]:
@@ -129,16 +124,6 @@ def _right_cosets(group: FiniteGroup, sub: Subgroup) -> tuple[list[int], list[in
             reps.append(i)
         coset_of[i] = renumber[c]
     return coset_of, reps
-
-
-def _coset_images(group: FiniteGroup, coset_of: Sequence[int], reps: Sequence[int],
-                  g: int) -> list[int]:
-    """The coset that right multiplication by element ``g`` sends each
-    coset to, read from the Cayley table rows where there is a table."""
-    table = group.cayley_table
-    if table is None:
-        return [coset_of[group.mult(r, g)] for r in reps]
-    return [coset_of[table[r][g]] for r in reps]
 
 
 def coset_action(group: FiniteGroup, normal: Subgroup, *,
@@ -245,35 +230,6 @@ def _orbit(members: Sequence[int], gens: tuple[int, ...],
     return list(orbit.items())
 
 
-def _join(group: FiniteGroup, hmembers: Sequence[int], hgens: Sequence[int], c: int,
-          stop_above: int) -> list[int] | None:
-    """Sorted element indices of <H, c> for the subgroup H = ``hmembers``
-    generated by ``hgens``, or None once it exceeds ``stop_above`` members.
-
-    Dimino's closure: the join is grown as a union of whole cosets e*H, each
-    read off row e of the Cayley table.  The union is closed under left
-    multiplication by every generator s once s*r lies in it for each coset
-    representative r, since then s*r*H is one of its cosets.  A group with
-    no table closes the generators element by element instead.
-    """
-    gens = [*hgens, c]
-    table = group.cayley_table
-    if table is None:
-        return group.closure_indices(gens, stop_above=stop_above)
-    inside = set(hmembers)
-    reps = [group.identity_index]
-    for r in reps:  # grows with each new coset, so every growth is checked
-        if len(inside) > stop_above:
-            return None
-        for s in gens:
-            e = table[s][r]
-            if e not in inside:
-                row = table[e]
-                inside.update([row[h] for h in hmembers])
-                reps.append(e)
-    return sorted(inside)
-
-
 def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
     """The conjugation orbit of every conjugacy class of subgroups."""
     # One representative per conjugacy class is joined with every cyclic
@@ -326,7 +282,6 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
         if hmembers == full or not hgens:  # the trivial group's joins are the cyclics
             continue
         hmask = _mask(hmembers)
-        hmaps = [group.conjugation_map(h) for h in hgens]
         done: set[int] = set()
         for cmask, (_, cgen) in cyclics:
             if cmask in done or cmask & hmask == cmask:
@@ -334,12 +289,12 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
             done.add(cmask)
             conjugates = [cgen]
             for x in conjugates:  # grows along C's orbit under conjugation by H
-                for cmap in hmaps:
-                    y = cmap[x]
+                for h in hgens:
+                    y = group.conjugate_index(x, h)
                     if cyclic_of[y] not in done:
                         done.add(cyclic_of[y])
                         conjugates.append(y)
-            result = _join(group, hmembers, hgens, cgen, half)
+            result = group.join(hmembers, hgens, cgen, half)
             if result is None:
                 if full not in known:
                     add_class(full, group.generator_indices())
@@ -457,34 +412,15 @@ def is_maximal(group: FiniteGroup, sub: Subgroup) -> bool:
     if sub.order == group.order:
         raise ValueError("maximality is undefined for the whole group")
     coset_of, reps = _right_cosets(group, sub)
-    ncos = len(reps)
-    hacts = [_coset_images(group, coset_of, reps, h)
-             for h in sub.gens if h != group.identity_index]
 
-    def orbit_size(start: int, acts: list[list[int]], seen: bytearray) -> int:
-        """Marks the orbit of coset ``start`` under ``acts`` in ``seen``."""
-        seen[start] = 1
-        count = 1
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for act in acts:
-                y = act[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    stack.append(y)
-        return count
+    def act(g: int) -> list[int]:  # each coset's image under right multiplication by g
+        return [coset_of[group.mult(r, g)] for r in reps]
 
-    covered = bytearray(ncos)  # the cosets of double cosets already tried
-    covered[0] = 1
-    for c in range(1, ncos):
-        if not covered[c]:
-            r = reps[c]
-            orbit_size(c, hacts, covered)  # the cosets in H*r*H
-            racts = _coset_images(group, coset_of, reps, r)
-            if orbit_size(0, hacts + [racts], bytearray(ncos)) < ncos:
-                return False
+    hacts = [act(h) for h in sub.gens if h != group.identity_index]
+    # H fixes its own coset, and its orbits on the others are the double cosets
+    for double in _orbits(range(1, len(reps)), hacts):
+        if len(_orbits([0], [*hacts, act(reps[double[0]])])[0]) < len(reps):
+            return False
     return True
 
 

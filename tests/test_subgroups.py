@@ -50,6 +50,8 @@ from oracles import (
     oracle_subgroups,
 )
 
+_NO_TABLE = Limits(cayley_cap=8)
+
 
 def test_subgroup_counts_cyclic6():
     # one subgroup per divisor of 6
@@ -177,28 +179,69 @@ def test_invariants_without_parent_table_order_only_the_members(call_counter):
 def test_enumeration_work_count_psl27(call_counter):
     # a deterministic count, so it guards the cost without a timing bound:
     # one join per conjugacy-class representative and orbit of cyclic
-    # subgroups under it (229), and one closure per class for its generators
+    # subgroups under it (229), and one join per generator that the greedy
+    # generating set of each class found by a join adds (18)
     group = psl2(7)
     closures = call_counter(FiniteGroup, "closure_indices")
-    joins = call_counter(subgroups, "_join")
+    joins = call_counter(FiniteGroup, "join")
     orbits = subgroups._enumerate_subgroups(group)
     assert len(orbits) == 15
     assert sum(map(len, orbits)) == 179
-    assert joins["_join"] + closures["closure_indices"] <= 247
+    assert joins["join"] <= 247
+    assert closures["closure_indices"] == 0
 
 
-@pytest.mark.parametrize("name", ["A5", "S4"])
-def test_coset_join_matches_closure(name):
-    group = group_from_name(name)
+@pytest.mark.parametrize("name, limits", [
+    ("A5", Limits()), ("S4", Limits()), ("A5", _NO_TABLE), ("S4", _NO_TABLE),
+], ids=["A5", "S4", "A5-no-table", "S4-no-table"])
+def test_coset_join_matches_closure(name, limits):
+    group = group_from_name(name, limits=limits)
+    assert (group.cayley_table is None) == (limits is _NO_TABLE)
     half = group.order // 2
     results = set()
     for orbit in subgroups._enumerate_subgroups(group):
         hmembers, hgens = orbit[0]
         for c in range(group.order):  # every cyclic subgroup, several times
-            joined = subgroups._join(group, hmembers, hgens, c, half)
-            assert joined == group.closure_indices([*hgens, c], stop_above=half)
+            joined = group.join(hmembers, hgens, c, stop_above=half)
+            expected = sorted(oracle_closure(group, [*hgens, c]))
+            if len(expected) > half:
+                assert joined is None
+            else:
+                assert joined == expected
+            assert group.join(hmembers, hgens, c) == expected
             results.add(None if joined is None else len(joined))
     assert None in results and len(results) > 2
+
+
+@pytest.mark.parametrize("limits", [Limits(), _NO_TABLE], ids=["table", "no-table"])
+@pytest.mark.parametrize("name", ["S4", "A5", "D12"])
+def test_generators_and_normal_closures_match_oracles(name, limits):
+    # greedy generators and normal closures are grown by joins; the oracles
+    # close every candidate generator list and conjugate every member anew
+    group = group_from_name(name, limits=limits)
+    conjugators = group.generator_indices()
+
+    def greedy_oracle(members):
+        gens, covered = [], {group.identity_index}
+        for m in members:
+            if m not in covered:
+                gens.append(m)
+                covered = oracle_closure(group, gens)
+        return tuple(gens)
+
+    def normal_closure_oracle(seed):
+        members = oracle_closure(group, seed)
+        while True:
+            conjugates = {group.conjugate_index(x, c) for x in members for c in conjugators}
+            if conjugates <= members:
+                return sorted(members)
+            members = oracle_closure(group, members | conjugates)
+
+    assert group.greedy_generator_indices() == greedy_oracle(range(group.order))
+    for sub in all_subgroups(group).subgroups:
+        assert group.greedy_generator_indices(sub.members) == greedy_oracle(sub.members)
+        assert (group.normal_closure_indices(sub.gens, conjugators)
+                == normal_closure_oracle(sub.gens)), sub.members
 
 
 def test_lattice_contains_trivial_and_full(a5_lattice):
@@ -290,24 +333,53 @@ def test_prime_order_subgroup_count_crosscheck():
             assert actual == expected, (group.name, p)
 
 
-_NO_TABLE = Limits(cayley_cap=8)
+def _table_and_no_table_groups():
+    """Eight groups, each built with its Cayley table and again without one."""
+    for limits in (Limits(), _NO_TABLE):
+        yield limits, [cyclic(12, limits=limits), symmetric(4, limits=limits),
+                       alternating(4, limits=limits), dihedral(12, limits=limits),
+                       dicyclic(3, limits=limits), alternating(5, limits=limits),
+                       group_from_name("A5xZ2", limits=limits),
+                       group_from_name("D10xS3", limits=limits)]
 
 
 def test_is_maximal_matches_lattice_flags():
     # each group with its Cayley table and again without one, where cosets
     # are labelled through the generator moves and candidates act by mult
-    for limits in (Limits(), _NO_TABLE):
-        for group in (cyclic(12, limits=limits), symmetric(4, limits=limits),
-                      alternating(4, limits=limits), dihedral(12, limits=limits),
-                      dicyclic(3, limits=limits), alternating(5, limits=limits),
-                      group_from_name("A5xZ2", limits=limits),
-                      group_from_name("D10xS3", limits=limits)):
+    for limits, groups in _table_and_no_table_groups():
+        for group in groups:
             assert (group.cayley_table is None) == (limits is _NO_TABLE)
             lattice = all_subgroups(group)
             for i, sub in enumerate(lattice.subgroups):
                 if sub.order == group.order:
                     continue
                 assert is_maximal(group, sub) == lattice.maximal_flags[i], (group.name, i)
+
+
+def test_groups_with_and_without_a_table_agree():
+    # the table and product paths of join, orders_of, the conjugation maps
+    # and is_normal give the same lattices, normal subgroups and invariants
+    (_, tabled), (_, untabled) = _table_and_no_table_groups()
+    for with_table, without in zip(tabled, untabled):
+        assert with_table.elements == without.elements
+        assert without.cayley_table is None
+        lattices = [all_subgroups(with_table), all_subgroups(without)]
+        subs = [lat.subgroups for lat in lattices]
+        assert ([(s.members, s.gens) for s in subs[0]]
+                == [(s.members, s.gens) for s in subs[1]]), with_table.name
+        assert lattices[0].class_of == lattices[1].class_of, with_table.name
+        assert lattices[0].maximal_flags == lattices[1].maximal_flags, with_table.name
+        assert ([(n.members, n.gens) for n in normal_subgroups(with_table)]
+                == [(n.members, n.gens) for n in normal_subgroups(without)]), with_table.name
+        for a, b in zip(*subs):
+            assert is_normal(with_table, a) == is_normal(without, b), (with_table.name, a.members)
+        seen = set()
+        for i, cls in enumerate(lattices[0].class_of):
+            if cls not in seen:
+                seen.add(cls)
+                a, b = subs[0][i], subs[1][i]
+                assert (invariants(with_table, a.members, a.gens)
+                        == invariants(without, b.members, b.gens)), (with_table.name, a.members)
 
 
 @pytest.mark.parametrize("name", ["S4", "A5"])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -348,6 +349,49 @@ def test_cli_unknown_group(capsys):
 def test_cli_resource_error(capsys):
     assert main(["group", "A5xA5", "subgroups"]) == 2
     assert "resource limit" in capsys.readouterr().err
+
+
+def _run_cli_child(argv):
+    """``isoposet argv`` in a child process with a 1 GiB address-space
+    limit and a 10 s timeout, so a name that would hang or exhaust memory
+    fails the test instead."""
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import isoposet
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    source_root = str(Path(isoposet.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": source_root}
+    return subprocess.run([sys.executable, "-m", "isoposet.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10,
+                          preexec_fn=limit_memory)
+
+
+@pytest.mark.parametrize("name", [
+    "Z100003:Z2",  # order past the cap, so no multiplier is searched for
+    "Z30000000",  # its generator alone would take gigabytes
+    "A200000",
+    "S200000",
+    "D30000000",
+    "Dic3000000",
+    "x".join(["Z2"] * 400),  # a chain whose 14th product passes the cap
+], ids=["semidirect", "cyclic", "alternating", "symmetric", "dihedral", "dicyclic", "chain"])
+def test_cli_oversized_group_names_exit_2(name):
+    proc = _run_cli_child(["group", name, "info"])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("resource limit:") and "element cap 10000" in proc.stderr
+
+
+def test_cli_long_product_chain_of_trivial_groups():
+    # 400 factors parse and build in loops, not 400 levels of recursion
+    proc = _run_cli_child(["group", "x".join(["Z1"] * 400), "info"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.endswith(": order 1, degree 400, 0 generators\n")
 
 
 def test_cli_caps_flag(capsys):
