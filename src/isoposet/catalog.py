@@ -177,9 +177,9 @@ def _product_steps(g: FiniteGroup, h: FiniteGroup) -> Iterator[list[int]]:
     one int object per key."""
     n = h.order
     blocks = [list(range(x, x + n)) for x in range(0, g.order * n, n)]  # keys of each x
-    for move in g.generator_moves():
+    for move in g.moves:
         yield [key for x in move for key in blocks[x]]
-    for move in h.generator_moves():
+    for move in h.moves:
         yield [block[y] for block in blocks for y in move]
 
 
@@ -220,8 +220,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, limits: Limits = DEFAULT_L
         generators=tuple(gens),
         elements=elements,
         cayley_table=table,
-        name=name,
         moves=moves,
+        name=name,
     )
 
 
@@ -286,12 +286,14 @@ def spec_from_name(name: str) -> GroupSpec:
     and the aliases 1, V4, Q8, F20 and F21.  Only the syntax is checked
     here; parameters a constructor rejects raise when the spec is built.
     """
-    name = name.strip()
+    given, name = name, name.strip()
     if name in _ALIASES:
         spec = spec_from_name(_ALIASES[name])
         return spec if name == "1" else replace(spec, name=name)  # 1 is named Z1
     if "x" in name:
         for factor in name.split("x"):
+            if not factor.strip():
+                raise ValueError(f"group name {given!r} has an empty factor")
             spec_from_name(factor)  # validate every factor; none is a product
         left, _, right = name.partition("x")
         return GroupSpec(name, "product", (left, right))

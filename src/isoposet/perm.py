@@ -118,15 +118,14 @@ class FiniteGroup:
     """A finite permutation group with every element enumerated.
 
     Elements sit in deterministic BFS discovery order: the identity at
-    index 0, then the generators applied in input order.  Inverses are
-    read off the Cayley table where there is one.  A group too large for
-    a table keeps ``moves`` instead, right multiplication by each
-    generator as an index map (``moves[k][a]`` is the index of
-    elements[a] * generators[k]), which its closure walk computes anyway;
-    a table's generator columns are the same maps.  Instances are
-    immutable and all operations on them are pure, so groups can be
-    shared freely across threads.  Construct through :func:`closure` or
-    the catalog module.
+    index 0, then the generators applied in input order.  Every group
+    keeps ``moves``, right multiplication by each generator as an index
+    map (``moves[k][a]`` is the index of elements[a] * generators[k]),
+    which its closure walk computes anyway; within ``cayley_cap`` it also
+    keeps the Cayley table, whose generator columns are the same maps, and
+    inverses are read off that table.  Instances are immutable and all
+    operations on them are pure, so groups can be shared freely across
+    threads.  Construct through :func:`closure` or the catalog module.
     """
 
     identity_index: ClassVar[int] = 0
@@ -135,15 +134,13 @@ class FiniteGroup:
     generators: tuple[Permutation, ...]
     elements: tuple[Permutation, ...]
     cayley_table: tuple[tuple[int, ...], ...] | None
+    moves: tuple[tuple[int, ...], ...]
     name: str | None = None
-    moves: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         index = {p.images: i for i, p in enumerate(self.elements)}
         if len(index) != len(self.elements):
             raise ValueError("duplicate elements")
-        if self.cayley_table is None and self.moves is None:
-            raise ValueError("a group with no Cayley table needs its generators' moves")
         object.__setattr__(self, "_index", index)
 
     @property
@@ -191,21 +188,14 @@ class FiniteGroup:
         m[inv[m[inv[x]]]], as inv[m[inv[x]]] = (x^-1 * g)^-1 = g^-1 * x."""
         inv = self._inverses
         maps: dict[int, tuple[int, ...]] = {}
-        for g, move in zip(self.generator_indices(), self.generator_moves()):
+        for g, move in zip(self.generator_indices(), self.moves):
             if g not in maps:
                 maps[g] = tuple([move[inv[move[y]]] for y in inv])
         return tuple(maps.values())
 
     def generator_indices(self) -> tuple[int, ...]:
-        return tuple(self._index[g.images] for g in self.generators)
-
-    def generator_moves(self) -> Sequence[Sequence[int]]:
-        """Right multiplication by each generator as an index map: the
-        Cayley table's generator columns, or else ``moves``."""
-        table = self.cayley_table
-        if table is None:
-            return self.moves
-        return [[row[g] for row in table] for g in self.generator_indices()]
+        """Index of each generator: the identity times it, read off its move."""
+        return tuple([move[self.identity_index] for move in self.moves])
 
     def closure_indices(
         self, seed: Iterable[int], stop_above: int | None = None
@@ -345,8 +335,7 @@ class FiniteGroup:
 def closure_walk(identity: Hashable, gens: Iterable[Hashable],
                  mul: Callable[[Hashable, Hashable], Hashable], *,
                  limits: Limits = DEFAULT_LIMITS,
-                 ) -> tuple[list, tuple[tuple[int, ...], ...] | None,
-                            tuple[tuple[int, ...], ...] | None]:
+                 ) -> tuple[list, tuple[tuple[int, ...], ...] | None, tuple[tuple[int, ...], ...]]:
     """Breadth-first closure of ``gens`` under ``mul``: its keys in
     discovery order, its Cayley table, and its generator moves.
 
@@ -363,8 +352,8 @@ def closure_walk(identity: Hashable, gens: Iterable[Hashable],
     c = a*g from an earlier element a and a generator g, so x*c = (x*a)*g
     and column c is column a read through g's right-multiplication map.
     The walk already took those products, so the table takes no ``mul``
-    call of its own.  Past the cap the maps themselves are returned as the
-    moves, and the table is None; within it the moves are None.
+    call of its own.  The maps themselves are returned as the moves; past
+    the cap the table is None.
     """
     gens = list(gens)
     cap = limits.element_cap
@@ -384,19 +373,20 @@ def closure_walk(identity: Hashable, gens: Iterable[Hashable],
                     )
                 elems.append(c)
             record(ci)
+    for k, move in enumerate(right):  # one list at a time, so no two copies
+        right[k] = tuple(move)
+    moves = tuple(right)
     n = len(elems)
     if n > limits.cayley_cap:
-        for k, move in enumerate(right):  # one list at a time, so no two copies
-            right[k] = tuple(move)
-        return elems, None, tuple(right)
+        return elems, None, moves
     columns: list[tuple[int, ...] | None] = [None] * n
     columns[0] = tuple(range(n))
     for a, column in enumerate(columns):  # column a is built before a is read
-        for move in right:
+        for move in moves:
             c = move[a]
             if columns[c] is None:
                 columns[c] = tuple([move[x] for x in column])
-    return elems, tuple(zip(*columns)), None
+    return elems, tuple(zip(*columns)), moves
 
 
 def closure(
@@ -426,8 +416,8 @@ def closure(
         generators=tuple(generators),
         elements=tuple(map(_unchecked, elems)),
         cayley_table=table,
-        name=name,
         moves=moves,
+        name=name,
     )
 
 

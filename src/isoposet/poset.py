@@ -122,10 +122,6 @@ class Poset:
             d[x] = max((d[y] + 1 for y in self.up[x]), default=0)
         return tuple(d)
 
-    @cached_property
-    def cover_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.hasse)
-
     def leq(self, a: int, b: int) -> bool:
         return a == b or bool(self.above[a] >> b & 1)
 
@@ -143,18 +139,18 @@ class Poset:
         if n == 0:
             return (0, ()), ()
         colors = refine(self)
-        cover = self.cover_set
+        down = self.down
         placed: list[int] = []
         unplaced = set(range(n))
         form: list[tuple[int, int, int]] = []
         best: tuple | None = None
         best_placed: tuple[int, ...] = ()
 
-        def signature(c: int) -> tuple[int, int, int]:
+        def signature(c: int, position: dict[int, int]) -> tuple[int, int, int]:
             lo = 0
-            for pos, x in enumerate(placed):
-                if (x, c) in cover:
-                    lo |= 1 << pos
+            for x in down[c]:
+                if x in position:
+                    lo |= 1 << position[x]
             # cover bits up from c to the placed prefix are always 0: colors
             # keep the order of heights, so every node below a placed node
             # was placed before it.  The 0 stays so that forms, and the
@@ -164,7 +160,8 @@ class Poset:
         def level() -> Iterator[tuple[tuple[int, int, int], int]]:
             # the nodes of least signature may take the next position,
             # unless that signature already makes the form exceed the best
-            sigs = {c: signature(c) for c in unplaced}
+            position = {x: pos for pos, x in enumerate(placed)}
+            sigs = {c: signature(c, position) for c in unplaced}
             least = min(sigs.values())
             if best is not None and tuple(form) + (least,) > best[: len(form) + 1]:
                 return iter(())

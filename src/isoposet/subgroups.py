@@ -38,9 +38,6 @@ class Subgroup:
     members: tuple[int, ...]
     gens: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mask", _mask(self.members))
-
     @property
     def order(self) -> int:
         return len(self.members)
@@ -48,7 +45,7 @@ class Subgroup:
     def contains(self, other: "Subgroup") -> bool:
         if other.parent is not self.parent:
             raise ValueError("subgroups of different parent groups are incomparable")
-        return other.mask & self.mask == other.mask
+        return set(self.members).issuperset(other.members)
 
     def as_group(self, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
         """Standalone FiniteGroup realization on the parent's points, read
@@ -90,7 +87,8 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     if sub.parent is not group:
         raise ValueError("subgroup does not belong to this group")
     # invariance under conjugation by generators suffices
-    return all(_mask(cmap[h] for h in sub.members) == sub.mask for cmap in group.conjugation_maps)
+    inside = set(sub.members)
+    return all(cmap[h] in inside for cmap in group.conjugation_maps for h in sub.members)
 
 
 def _right_cosets(group: FiniteGroup, sub: Subgroup) -> tuple[list[int], list[int]]:
@@ -105,11 +103,10 @@ def _right_cosets(group: FiniteGroup, sub: Subgroup) -> tuple[list[int], list[in
     for h in sub.members:
         coset_of[h] = 0
     count = 1
-    moves = group.generator_moves()
     todo = [sub.members]  # cosets not yet moved
     while todo:
         members = todo.pop()
-        for move in moves:
+        for move in group.moves:
             if coset_of[move[members[0]]] < 0:
                 image = [move[x] for x in members]
                 for x in image:
@@ -140,7 +137,7 @@ def coset_action(group: FiniteGroup, normal: Subgroup, *,
         raise ValueError("coset_action requires a normal subgroup")
     coset_of, reps = _right_cosets(group, normal)
     gens = [Permutation(tuple([coset_of[move[r]] for r in reps]))
-            for move in group.generator_moves()]
+            for move in group.moves]
     qname = f"{group.name}/N{normal.order}" if group.name else None
     return closure(len(reps), gens, limits=limits, name=qname)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from isoposet import (
     Limits,
     Permutation,
     ResourceLimitError,
+    all_subgroups,
     alternating,
     are_isomorphic,
     catalog_for_order,
@@ -26,6 +28,7 @@ from isoposet import (
     symmetric,
 )
 from isoposet.catalog import catalog_specs
+from isoposet.perm import realize
 
 from oracles import oracle_direct_product
 
@@ -155,20 +158,54 @@ def _repeated_identity_z3():
     return closure(3, [ident, c, ident, c], name="Z3")
 
 
-@pytest.mark.parametrize("build,limits", [
-    (lambda: (alternating(5), alternating(5)), Limits()),
-    (lambda: (cyclic(1), cyclic(1)), Limits()),
-    (lambda: (symmetric(4, limits=Limits(cayley_cap=8)), cyclic(2)), Limits()),
-    (lambda: (symmetric(4, limits=Limits(cayley_cap=8)), cyclic(2)), Limits(cayley_cap=8)),
-    (lambda: (_repeated_identity_z3(), cyclic(2)), Limits()),
-    (lambda: (cyclic(2), _repeated_identity_z3()), Limits(cayley_cap=4)),
-], ids=["A5xA5", "Z1xZ1", "tableless-S4xZ2", "tableless-S4xZ2-no-table",
-        "repeated-identity", "repeated-identity-right"])
+_PRODUCT_CASES = {
+    "A5xA5": (lambda: (alternating(5), alternating(5)), Limits()),
+    "Z1xZ1": (lambda: (cyclic(1), cyclic(1)), Limits()),
+    "tableless-S4xZ2": (lambda: (symmetric(4, limits=Limits(cayley_cap=8)), cyclic(2)), Limits()),
+    "tableless-S4xZ2-no-table": (lambda: (symmetric(4, limits=Limits(cayley_cap=8)), cyclic(2)),
+                                 Limits(cayley_cap=8)),
+    "repeated-identity": (lambda: (_repeated_identity_z3(), cyclic(2)), Limits()),
+    "repeated-identity-right": (lambda: (cyclic(2), _repeated_identity_z3()),
+                                Limits(cayley_cap=4)),
+}
+
+
+@pytest.mark.parametrize("build,limits", _PRODUCT_CASES.values(), ids=_PRODUCT_CASES.keys())
 def test_direct_product_equals_closure(build, limits):
     left, right = build()
     product = direct_product(left, right, limits=limits)
     _assert_same_product(product, oracle_direct_product(left, right, limits=limits))
     assert (product.cayley_table is None) == (product.order > limits.cayley_cap)
+
+
+def test_moves_are_the_table_columns():
+    # every group keeps its generators' moves: a table's generator columns,
+    # the same with a table or without, and the generators' indices at the
+    # identity's entry
+    no_table = Limits(cayley_cap=0)
+    pairs = [(spec.build(), spec.build(limits=no_table)) for spec in catalog_specs()]
+    for build, limits in _PRODUCT_CASES.values():
+        left, right = build()
+        pairs.append((direct_product(left, right, limits=limits),
+                      direct_product(left, right, limits=replace(limits, cayley_cap=0))))
+    z3 = _repeated_identity_z3()
+    pairs.append((z3, closure(3, z3.generators, limits=no_table)))
+    s4 = symmetric(4)
+    for gens in ([], [0, 0], [0, 5, 5, 0, 7]):
+        pairs.append((realize(s4, gens), realize(s4, gens, limits=no_table)))
+    pairs += [(sub.as_group(), sub.as_group(limits=no_table)) for sub in all_subgroups(s4).subgroups]
+    for group, untabled in pairs:
+        assert untabled.cayley_table is None and untabled.elements == group.elements
+        assert untabled.moves == group.moves
+        gens = group.generator_indices()
+        assert gens == tuple(group.index_of(p) for p in group.generators)
+        assert len(group.moves) == len(group.generators)
+        if group.cayley_table is not None:
+            assert group.moves == tuple(tuple(row[g] for row in group.cayley_table)
+                                        for g in gens)
+        else:  # A5xA5
+            for move, g in zip(group.moves, gens):
+                assert move == tuple(group.mult(a, g) for a in range(group.order))
 
 
 def test_direct_product_respects_caps():

@@ -219,31 +219,7 @@ def test_finite_group_rejects_repeated_elements():
     c = perm((0, 1, 2), degree=3)
     with pytest.raises(ValueError, match="duplicate elements"):
         FiniteGroup(degree=3, generators=(c,), elements=(Permutation.identity(3), c, c),
-                    cayley_table=None)
-
-
-def test_finite_group_without_table_needs_moves():
-    c = perm((0, 1, 2), degree=3)
-    elements = (Permutation.identity(3), c, compose(c, c))
-    with pytest.raises(ValueError, match="moves"):
-        FiniteGroup(degree=3, generators=(c,), elements=elements, cayley_table=None)
-    group = FiniteGroup(degree=3, generators=(c,), elements=elements, cayley_table=None,
-                        moves=((1, 2, 0),))
-    assert group.generator_moves() == ((1, 2, 0),)
-
-
-def test_generator_moves_are_the_table_columns():
-    # the walk's right-multiplication maps, kept past cayley_cap, are the
-    # columns of the generators in the table built within it
-    for build in (symmetric, alternating):
-        with_table = build(4)
-        without = build(4, limits=Limits(cayley_cap=8))
-        assert with_table.moves is None and without.cayley_table is None
-        assert with_table.elements == without.elements
-        assert [list(m) for m in without.generator_moves()] == with_table.generator_moves()
-        for k, move in enumerate(without.moves):
-            g = without.generator_indices()[k]
-            assert list(move) == [without.mult(a, g) for a in range(without.order)]
+                    cayley_table=None, moves=((1, 2, 0),))
 
 
 def test_closure_tolerates_duplicate_generators():

@@ -313,10 +313,10 @@ def test_containment_matches_pairwise_oracle(tmp_path, call_counter):
 def test_lattice_closed_under_conjugation():
     for group in (symmetric(4), alternating(5)):
         lattice = all_subgroups(group)
-        masks = {s.mask for s in lattice.subgroups}
+        member_sets = {s.members for s in lattice.subgroups}
         for sub in lattice.subgroups:
             for g in group.generator_indices():
-                assert conjugate_subgroup(group, sub, g).mask in masks
+                assert conjugate_subgroup(group, sub, g).members in member_sets
 
 
 def test_prime_order_subgroup_count_crosscheck():

@@ -346,6 +346,13 @@ def test_cli_unknown_group(capsys):
     assert main(["group", "E8", "info"]) == 2
 
 
+@pytest.mark.parametrize("name", ["Z2x", "xZ2", "Z2xxZ3", "Z2x "])
+def test_cli_product_with_empty_factor(capsys, name):
+    assert main(["group", name, "info"]) == 2
+    err = capsys.readouterr().err
+    assert repr(name) in err and "empty factor" in err
+
+
 def test_cli_resource_error(capsys):
     assert main(["group", "A5xA5", "subgroups"]) == 2
     assert "resource limit" in capsys.readouterr().err
