@@ -73,19 +73,15 @@ def _recognition_candidates(order: int) -> tuple[tuple[str, FiniteGroup, Fingerp
     return tuple(out)
 
 
-def _label_for(fp: Fingerprint, rep: Subgroup, node_id: int, *, limits: Limits) -> str:
+def _label_for(fp: Fingerprint, rep: Subgroup, node_id: int, *,
+               recognize: bool, limits: Limits) -> str:
     if fp.order == 1:
         return "1"
-    if dict(fp.order_histogram).get(fp.order):  # an element of full order: cyclic
+    if recognize and dict(fp.order_histogram).get(fp.order):  # an element of full order: cyclic
         return f"Z{fp.order}"
-    if fp.order <= limits.iso_cap:
-        standalone = None
+    if recognize and fp.order <= limits.iso_cap:
         for name, group, cfp in _recognition_candidates(fp.order):
-            if cfp != fp:
-                continue
-            if standalone is None:
-                standalone = rep.as_group(limits=limits)
-            if find_isomorphism(group, standalone, limits=limits, fg=cfp, fh=fp):
+            if cfp == fp and find_isomorphism(group, rep, limits=limits, fg=cfp, fh=fp):
                 return name
     return f"G{fp.order}.{node_id}"
 
@@ -128,12 +124,8 @@ def build_iso_poset(
         all_max = all(lattice.maximal_flags[s] for s in members)
         if group.name and fp.order == group.order:
             label = group.name
-        elif recognize:
-            label = _label_for(fp, rep, node_id, limits=limits)
-        elif fp.order == 1:
-            label = "1"
         else:
-            label = f"G{fp.order}.{node_id}"
+            label = _label_for(fp, rep, node_id, recognize=recognize, limits=limits)
         nodes.append(
             IsoClassNode(
                 node_id=node_id,

@@ -203,8 +203,8 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     try:
         orders = [int(part) for part in args.orders.split(",") if part]
-        if any(order < 1 for order in orders):
-            raise ValueError("group orders start at 1")
+        if not orders or any(order < 1 for order in orders):
+            raise ValueError("no group order, or one below 1")
     except ValueError:
         print(f"bad --orders value {args.orders!r}", file=sys.stderr)
         return 2

@@ -4,35 +4,44 @@ The search maps a greedy minimal generating sequence of one group onto
 order/class-size compatible elements of the other, extending each partial
 assignment to the generated subgroup and rejecting on any collision.  A
 successful assignment is re-verified as a bijective homomorphism on every
-element pair before it is returned.
+element pair before it is returned.  A subgroup is searched in its parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .invariants import Fingerprint, conjugacy_classes, fingerprint, invariants
+from .invariants import Fingerprint, _class_orbits, invariants
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup
-from .subgroups import SubgroupLattice
+from .subgroups import Subgroup, SubgroupLattice
 
 
 @dataclass(frozen=True)
 class GroupIso:
-    """A verified isomorphism: generator images plus the full element map."""
+    """A verified isomorphism: generator images plus the full element map.
+    A subgroup's indices are its parent's, and ``mapping`` lists the images
+    of its ``members`` in order."""
 
     generator_indices: tuple[int, ...]
     generator_images: tuple[int, ...]
     mapping: tuple[int, ...]
 
 
-def _element_keys(group: FiniteGroup) -> list[tuple[int, int]]:
+def _view(side: FiniteGroup | Subgroup) -> tuple[FiniteGroup, Sequence[int], Sequence[int]]:
+    """(group, member indices, generator indices) of a whole group, or of a
+    subgroup read in its parent."""
+    if isinstance(side, Subgroup):
+        return side.parent, side.members, side.gens
+    return side, range(side.order), side.generator_indices()
+
+
+def _element_keys(group: FiniteGroup, members: Sequence[int],
+                  gens: Sequence[int]) -> dict[int, tuple[int, int]]:
     # (element order, conjugacy class size): both preserved by isomorphisms
-    size = [0] * group.order
-    for cls in conjugacy_classes(group):
-        for i in cls:
-            size[i] = len(cls)
-    return list(zip(group.element_orders, size))
+    size = {x: len(cls) for cls in _class_orbits(group, members, gens) for x in cls}
+    return {x: (k, size[x]) for x, k in zip(members, group.orders_of(members))}
 
 
 def _pair_closure(g: FiniteGroup, h: FiniteGroup, sources: list[int],
@@ -68,58 +77,65 @@ def _pair_closure(g: FiniteGroup, h: FiniteGroup, sources: list[int],
     return gmap
 
 
-def _is_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: list[int]) -> bool:
-    """Full check: bijection plus the homomorphism law on all pairs."""
-    if sorted(mapping) != list(range(h.order)):
+def _is_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup,
+                    mapping: Sequence[int]) -> bool:
+    """Full check of ``mapping``, the images of g's members in order: a
+    bijection onto h's members that keeps the product of every pair."""
+    (gp, gm, _), (hp, hm, _) = _view(g), _view(h)
+    if len(mapping) != len(gm) or sorted(mapping) != list(hm):
         return False
-    if g.cayley_table is not None and h.cayley_table is not None:
-        # row i of both sides at once: mapping[i*j] against mapping[i]*mapping[j]
-        htable = h.cayley_table
-        for i, row in enumerate(g.cayley_table):
-            hrow = htable[mapping[i]]
-            if [mapping[x] for x in row] != [hrow[m] for m in mapping]:
+    image = [-1] * gp.order
+    for x, y in zip(gm, mapping):
+        image[x] = y
+    gtable, htable = gp.cayley_table, hp.cayley_table
+    if gtable is not None and htable is not None:
+        # row i of both sides at once: image[i*j] against image[i]*image[j]
+        whole = len(gm) == gp.order
+        for i, fi in zip(gm, mapping):
+            row, hrow = gtable[i], htable[fi]
+            products = row if whole else [row[j] for j in gm]
+            if [image[x] for x in products] != [hrow[y] for y in mapping]:
                 return False
         return True
-    for i in range(g.order):
-        for j in range(g.order):
-            if mapping[g.mult(i, j)] != h.mult(mapping[i], mapping[j]):
+    for i, fi in zip(gm, mapping):
+        for j, fj in zip(gm, mapping):
+            if image[gp.mult(i, j)] != hp.mult(fi, fj):
                 return False
     return True
 
 
-def find_isomorphism(g: FiniteGroup, h: FiniteGroup, *,
+def find_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup, *,
                      limits: Limits = DEFAULT_LIMITS,
                      fg: Fingerprint | None = None,
                      fh: Fingerprint | None = None) -> GroupIso | None:
     """An isomorphism from g onto h, or None when none exists."""
-    if max(g.order, h.order) > limits.iso_cap:
+    (gp, gm, ggens), (hp, hm, hgens) = _view(g), _view(h)
+    if max(len(gm), len(hm)) > limits.iso_cap:
         raise ResourceLimitError(
-            f"group order {max(g.order, h.order)} exceeds isomorphism cap {limits.iso_cap}"
+            f"group order {max(len(gm), len(hm))} exceeds isomorphism cap {limits.iso_cap}"
         )
-    if g.order != h.order:
+    if len(gm) != len(hm):
         return None
     if fg is None:
-        fg = fingerprint(g)
+        fg = invariants(gp, gm, ggens)
     if fh is None:
-        fh = fingerprint(h)
+        fh = invariants(hp, hm, hgens)
     if fg != fh:
         return None
-    if g.order == 1:
-        return GroupIso((), (), (h.identity_index,))
+    if len(gm) == 1:
+        return GroupIso((), (), (hp.identity_index,))
 
-    sources = list(g.greedy_generator_indices())
-    keys_g = _element_keys(g)
-    keys_h = _element_keys(h)
-    candidates = [
-        [j for j in range(h.order) if keys_h[j] == keys_g[s]] for s in sources
-    ]
+    sources = list(gp.greedy_generator_indices(gm))
+    keys_g = _element_keys(gp, gm, ggens)
+    keys_h = _element_keys(hp, hm, hgens)
+    candidates = [[j for j in hm if keys_h[j] == keys_g[s]] for s in sources]
 
     images: list[int] = []
 
     def search(depth: int) -> list[int] | None:
         for cand in candidates[depth]:
             images.append(cand)
-            gmap = _pair_closure(g, h, sources[: depth + 1], images)
+            gmap = _pair_closure(gp, hp, sources[: depth + 1], images)
             if gmap is not None:
                 if depth + 1 == len(sources):
                     return gmap  # images intact for the witness
@@ -132,12 +148,13 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup, *,
     gmap = search(0)
     if gmap is None:
         return None
-    if not _is_isomorphism(g, h, gmap):
+    mapping = [gmap[x] for x in gm]
+    if not _is_isomorphism(g, h, mapping):
         raise RuntimeError("isomorphism search produced an invalid witness")
-    return GroupIso(tuple(sources), tuple(images), tuple(gmap))
+    return GroupIso(tuple(sources), tuple(images), tuple(mapping))
 
 
-def are_isomorphic(g: FiniteGroup, h: FiniteGroup, *,
+def are_isomorphic(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup, *,
                    limits: Limits = DEFAULT_LIMITS) -> bool:
     return find_isomorphism(g, h, limits=limits) is not None
 
@@ -154,37 +171,30 @@ def classify_with_data(
     triples sorted by (fingerprint, members); the representative is the
     lowest-index member.  Conjugate subgroups are isomorphic, so only the
     lowest-index member of each conjugacy class is fingerprinted, in the
-    parent by :func:`invariants`, and its class inherits the result.  A
-    representative is realized as a standalone group only when another
-    conjugacy class shares its fingerprint, to be compared with it.
+    parent by :func:`invariants`, and its class inherits the result.
+    Representatives that share a fingerprint are compared in the parent.
     """
     if lattice.parent is not group:
         raise ValueError("lattice does not belong to this group")
     conjugates: dict[int, list[int]] = {}
     for idx, cls in enumerate(lattice.class_of):
         conjugates.setdefault(cls, []).append(idx)
-    orbits = list(conjugates.values())  # ordered by least member
-    buckets: dict[Fingerprint, list[int]] = {}
-    for k, orbit in enumerate(orbits):
+    buckets: dict[Fingerprint, list[list[int]]] = {}
+    for orbit in conjugates.values():  # ordered by least member
         rep = lattice.subgroups[orbit[0]]
-        buckets.setdefault(invariants(group, rep.members, rep.gens), []).append(k)
+        buckets.setdefault(invariants(group, rep.members, rep.gens), []).append(orbit)
     out: list[tuple[tuple[int, ...], Fingerprint, int]] = []
-    for fp, ks in buckets.items():
-        reps: list[int] = []
-        members: dict[int, list[int]] = {}
-        realized = ({k: lattice.subgroups[orbits[k][0]].as_group(limits=limits) for k in ks}
-                    if len(ks) > 1 else {})
-        for k in ks:
-            for rep in reps:
-                if find_isomorphism(realized[rep], realized[k],
-                                    limits=limits, fg=fp, fh=fp) is not None:
-                    members[rep] += orbits[k]
+    for fp, orbits in buckets.items():
+        classes: list[list[int]] = []  # each led by its least subgroup index
+        for orbit in orbits:
+            sub = lattice.subgroups[orbit[0]]
+            for cls in classes:
+                if find_isomorphism(lattice.subgroups[cls[0]], sub, limits=limits, fg=fp, fh=fp):
+                    cls += orbit
                     break
             else:
-                reps.append(k)
-                members[k] = list(orbits[k])
-        for rep in reps:
-            out.append((tuple(sorted(members[rep])), fp, orbits[rep][0]))
+                classes.append(orbit)
+        out += [(tuple(sorted(cls)), fp, cls[0]) for cls in classes]
     out.sort(key=lambda cls: (cls[1], cls[0]))
     return out
 

@@ -62,6 +62,16 @@ def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
     return _orbits(range(group.order), group.conjugation_maps)
 
 
+def _class_orbits(parent: FiniteGroup, members: Sequence[int],
+                  gens: Sequence[int]) -> list[tuple[int, ...]]:
+    """Conjugacy classes of the subgroup ``members`` generated by ``gens``,
+    read in ``parent`` as the orbits of conjugation by ``gens``."""
+    if len(members) == parent.order:  # conjugation by any generating set has the same orbits
+        return _orbits(members, parent.conjugation_maps)
+    return _orbits(members, [{x: parent.conjugate_index(x, g) for x in members}
+                             for g in dict.fromkeys(gens)])
+
+
 def derived_subgroup_indices(group: FiniteGroup, gens: Sequence[int]) -> list[int]:
     """Sorted member indices of [H, H] for the subgroup H generated by ``gens``.
 
@@ -88,12 +98,7 @@ def invariants(parent: FiniteGroup, members: Sequence[int],
     all of it.
     """
     orders = parent.orders_of(members)
-    if len(members) == parent.order:  # conjugation by any generating set has the same orbits
-        maps = parent.conjugation_maps
-    else:
-        maps = [{x: parent.conjugate_index(x, g) for x in members}
-                for g in dict.fromkeys(gens)]
-    class_sizes = sorted(len(c) for c in _orbits(members, maps))
+    class_sizes = sorted(len(c) for c in _class_orbits(parent, members, gens))
     center = class_sizes.count(1)
     return Fingerprint(
         order=len(members),

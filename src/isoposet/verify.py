@@ -157,13 +157,8 @@ def _psl_common(q: int, shape: tuple[int, ...], maximal: list[str], *,
 
     def claim_maximal_classes():
         tops = sorted(maximal_nontop_classes(poset()), key=lambda n: n.order)
-        ok = (
-            [n.order for n in tops] == [r.order for r in references]
-            and all(
-                are_isomorphic(n.rep.as_group(limits=limits), r, limits=limits)
-                for n, r in zip(tops, references)
-            )
-        )
+        ok = ([n.order for n in tops] == [r.order for r in references]
+              and all(are_isomorphic(n.rep, r, limits=limits) for n, r in zip(tops, references)))
         return _decide(ok, {"classes": _max_class_summary(poset())})
 
     results = [
@@ -187,14 +182,10 @@ def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
             fp = fingerprint(reference)
             copies = 0
             for node in poset().nodes:
-                if node.order != reference.order:
-                    continue
-                standalone = node.rep.as_group(limits=limits)
-                if find_isomorphism(reference, standalone, limits=limits,
-                                    fg=fp, fh=fingerprint(standalone)) is None:
-                    continue
-                copies += len(node.members)
-                ok &= all(is_maximal(group, lattice().subgroups[i]) for i in node.members)
+                if node.fp == fp and find_isomorphism(reference, node.rep, limits=limits,
+                                                      fg=fp, fh=fp) is not None:
+                    copies += len(node.members)
+                    ok &= all(is_maximal(group, lattice().subgroups[i]) for i in node.members)
             checked[str(reference.order)] = copies
         return _decide(ok, {"copies_checked": checked})
 

@@ -20,6 +20,7 @@ from isoposet import (
     find_isomorphism,
     fingerprint,
     group_from_name,
+    subgroup_generated_by,
     symmetric,
 )
 from isoposet.catalog import catalog_specs
@@ -171,6 +172,16 @@ def test_witness_check_rejects_a_non_homomorphism(cayley_cap):
         inversion = [group.inverse_index(i) for i in range(group.order)]
         assert _is_isomorphism(group, group, list(range(group.order)))
         assert _is_isomorphism(group, group, inversion) == abelian
+    # and on subgroups read in their parent: V4 and S3 in S4
+    s4 = symmetric(4, limits=limits)
+    for cycles, abelian in (([((0, 1), (2, 3)), ((0, 2), (1, 3))], True),
+                            ([((0, 1),), ((0, 1, 2),)], False)):
+        sub = subgroup_generated_by(s4, [s4.index_of(Permutation.from_cycles(4, *c))
+                                         for c in cycles])
+        assert sub.order == (4 if abelian else 6)
+        inversion = [s4.inverse_index(x) for x in sub.members]
+        assert _is_isomorphism(sub, sub, list(sub.members))
+        assert _is_isomorphism(sub, sub, inversion) == abelian
 
 
 def test_are_isomorphic_basics():
@@ -311,12 +322,12 @@ def test_classify_matches_per_subgroup_oracle(cache_dir):
 
 
 def test_classify_realizes_one_subgroup_per_conjugacy_class(psl27, psl27_lattice, call_counter):
-    # at most one per conjugacy class (15 of 179 subgroups), and only for a
-    # class that shares its fingerprint with another: PSL(2,7) has two
-    # classes each of V4, A4 and S4
+    # one representative per conjugacy class (15 of 179 subgroups) is
+    # compared, and in the parent: PSL(2,7)'s two classes each of V4, A4
+    # and S4 are told apart without realizing a subgroup
     calls = call_counter(Subgroup, "as_group")
     classify_with_data(psl27, psl27_lattice)
-    assert calls["as_group"] == 6
+    assert calls["as_group"] == 0
     assert len(set(psl27_lattice.class_of)) == 15
 
 

@@ -23,6 +23,7 @@ from isoposet import (
     dihedral,
     direct_product,
     element_order,
+    find_isomorphism,
     fingerprint,
     has_subgroup_of_order,
     is_maximal,
@@ -38,7 +39,7 @@ from isoposet import (
     subgroups,
     symmetric,
 )
-from isoposet.catalog import catalog_specs, group_from_name
+from isoposet.catalog import catalog_for_order, catalog_specs, group_from_name
 from isoposet.invariants import conjugacy_classes, invariants
 from isoposet.subgroups import _every_group_cyclic
 
@@ -380,6 +381,48 @@ def test_groups_with_and_without_a_table_agree():
                 a, b = subs[0][i], subs[1][i]
                 assert (invariants(with_table, a.members, a.gens)
                         == invariants(without, b.members, b.gens)), (with_table.name, a.members)
+
+
+def _assert_witness(group, members, other, other_members, iso):
+    # the element map, checked pair by pair apart from the search's re-check
+    image = dict(zip(members, iso.mapping))
+    assert sorted(iso.mapping) == list(other_members)
+    for x in members:
+        for y in members:
+            assert image[group.mult(x, y)] == other.mult(image[x], image[y])
+
+
+def test_subgroups_compared_in_their_parent_match_realized_groups():
+    # two class representatives of one order, read in a parent with a
+    # table and in one without, are isomorphic exactly when their
+    # realizations are, also when the fingerprint screen is bypassed; so
+    # are a catalog group and a subgroup, which is how classes are named
+    named: dict[int, list] = {}
+    for _, groups in _table_and_no_table_groups():
+        for group in groups:
+            lattice = all_subgroups(group)
+            first: dict[int, int] = {}
+            for i, cls in enumerate(lattice.class_of):
+                first.setdefault(cls, i)
+            reps = [lattice.subgroups[i] for i in first.values()]
+            fps = [invariants(group, s.members, s.gens) for s in reps]
+            for a, fa in zip(reps, fps):
+                for b in (b for b in reps if b.order == a.order):
+                    iso = find_isomorphism(a, b, fg=fa, fh=fa)
+                    realized = are_isomorphic(a.as_group(), b.as_group())
+                    assert (iso is not None) == realized, (group.name, a.members, b.members)
+                    if iso is not None:
+                        _assert_witness(group, a.members, group, b.members, iso)
+                if a.order not in named:
+                    named[a.order] = [spec.build() for spec in catalog_for_order(a.order).specs]
+                for other in named[a.order]:
+                    if fingerprint(other) != fa:
+                        continue
+                    iso = find_isomorphism(other, a)
+                    realized = are_isomorphic(other, a.as_group())
+                    assert (iso is not None) == realized, (group.name, other.name, a.members)
+                    if iso is not None:
+                        _assert_witness(other, range(other.order), group, a.members, iso)
 
 
 @pytest.mark.parametrize("name", ["S4", "A5"])

@@ -6,6 +6,7 @@ import pytest
 
 from isoposet import (
     build_iso_poset,
+    catalog_for_order,
     composition_factors,
     cyclic,
     group_from_name,
@@ -88,12 +89,24 @@ def test_normal_structure_enumerates_no_lattice(monkeypatch, sl25, call_counter)
 
 
 def test_verify_all_realizes_few_subgroups(cache_dir, call_counter):
-    # classification fingerprints its 199 conjugacy-class representatives
-    # in their parents and realizes only the ones it compares, and no
-    # named group's top class is recognized: 77 realizations in all
+    # classification, recognition and the PSL claims compare subgroups in
+    # their parents; only composition factors recurse on a realized
+    # subgroup (3), and the remark realizes its two copies of A5 in A5xA5,
+    # which has no table to read them in
     calls = call_counter(subgroups.Subgroup, "as_group")
     verify_all(cache_dir=cache_dir)
-    assert calls["as_group"] <= 80
+    assert calls["as_group"] <= 5
+
+
+def test_scan_realizes_no_subgroup(cache_dir, call_counter):
+    # a warm scan of every curated order classifies each lattice in its
+    # parent and labels no class by recognition
+    orders = [n for n in range(1, 169) if catalog_for_order(n).curated]
+    assert len(orders) == 18
+    scan(orders, cache_dir=cache_dir)
+    calls = call_counter(subgroups.Subgroup, "as_group")
+    scan(orders, cache_dir=cache_dir)
+    assert calls["as_group"] == 0
 
 
 def test_verify_remark(cache_dir):
@@ -328,7 +341,7 @@ def test_cli_scan_bad_orders(capsys):
     assert main(["scan", "--orders", "sixty"]) == 2
 
 
-@pytest.mark.parametrize("orders", ["0", "-4", "6,0"])
+@pytest.mark.parametrize("orders", ["0", "-4", "6,0", "", ",,"])
 def test_cli_scan_rejects_orders_below_one(capsys, orders):
     assert main(["scan", "--orders", orders]) == 2
     assert "bad --orders value" in capsys.readouterr().err
