@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .invariants import Fingerprint, _class_orbits, invariants
+from .invariants import Fingerprint, _class_orbits, _invariants, invariants
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup
 from .subgroups import Subgroup, SubgroupLattice
@@ -37,11 +37,10 @@ def _view(side: FiniteGroup | Subgroup) -> tuple[FiniteGroup, Sequence[int], Seq
     return side, range(side.order), side.generator_indices()
 
 
-def _element_keys(group: FiniteGroup, members: Sequence[int],
-                  gens: Sequence[int]) -> dict[int, tuple[int, int]]:
+def _element_keys(group: FiniteGroup, classes: list[tuple[int, ...]]) -> dict[int, tuple[int, int]]:
     # (element order, conjugacy class size): both preserved by isomorphisms
-    size = {x: len(cls) for cls in _class_orbits(group, members, gens) for x in cls}
-    return {x: (k, size[x]) for x, k in zip(members, group.orders_of(members))}
+    orders = group.element_orders
+    return {x: (orders[x], len(cls)) for cls in classes for x in cls}
 
 
 def _pair_closure(g: FiniteGroup, h: FiniteGroup, sources: list[int],
@@ -87,20 +86,13 @@ def _is_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup,
     image = [-1] * gp.order
     for x, y in zip(gm, mapping):
         image[x] = y
-    gtable, htable = gp.cayley_table, hp.cayley_table
-    if gtable is not None and htable is not None:
-        # row i of both sides at once: image[i*j] against image[i]*image[j]
-        whole = len(gm) == gp.order
-        for i, fi in zip(gm, mapping):
-            row, hrow = gtable[i], htable[fi]
-            products = row if whole else [row[j] for j in gm]
-            if [image[x] for x in products] != [hrow[y] for y in mapping]:
-                return False
-        return True
+    # row i of both sides at once: image[i*j] against image[i]*image[j]
+    grows, hrows, whole = gp.rows, hp.rows, len(gm) == gp.order
     for i, fi in zip(gm, mapping):
-        for j, fj in zip(gm, mapping):
-            if image[gp.mult(i, j)] != hp.mult(fi, fj):
-                return False
+        row, hrow = grows[i], hrows[fi]
+        products = row if whole else [row[j] for j in gm]
+        if [image[x] for x in products] != [hrow[y] for y in mapping]:
+            return False
     return True
 
 
@@ -116,18 +108,16 @@ def find_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup, *,
         )
     if len(gm) != len(hm):
         return None
-    if fg is None:
-        fg = invariants(gp, gm, ggens)
-    if fh is None:
-        fh = invariants(hp, hm, hgens)
-    if fg != fh:
+    # each side's classes are walked once, for its fingerprint and its keys
+    gclasses, hclasses = _class_orbits(gp, gm, ggens), _class_orbits(hp, hm, hgens)
+    if (fg or _invariants(gp, ggens, gclasses)) != (fh or _invariants(hp, hgens, hclasses)):
         return None
     if len(gm) == 1:
         return GroupIso((), (), (hp.identity_index,))
 
     sources = list(gp.greedy_generator_indices(gm))
-    keys_g = _element_keys(gp, gm, ggens)
-    keys_h = _element_keys(hp, hm, hgens)
+    keys_g = _element_keys(gp, gclasses)
+    keys_h = _element_keys(hp, hclasses)
     candidates = [[j for j in hm if keys_h[j] == keys_g[s]] for s in sources]
 
     images: list[int] = []

@@ -91,18 +91,23 @@ def invariants(parent: FiniteGroup, members: Sequence[int],
     ``members`` generated by ``gens``, read in the parent.
 
     It equals the fingerprint of the subgroup realized as a group of its
-    own.  Element orders come from the parent's
-    :meth:`~FiniteGroup.orders_of`, as realizing the subgroup takes them.
-    Conjugacy classes are the orbits of conjugation by ``gens``, and the
-    centre is their singletons: a subgroup is abelian iff its centre is
-    all of it.
+    own: an element's order is the same in both.  Conjugacy classes are
+    the orbits of conjugation by ``gens``, and the centre is their
+    singletons: a subgroup is abelian iff its centre is all of it.
     """
-    orders = parent.orders_of(members)
-    class_sizes = sorted(len(c) for c in _class_orbits(parent, members, gens))
+    return _invariants(parent, gens, _class_orbits(parent, members, gens))
+
+
+def _invariants(parent: FiniteGroup, gens: Sequence[int],
+                classes: list[tuple[int, ...]]) -> Fingerprint:
+    """:func:`invariants` of the subgroup with these conjugacy ``classes``."""
+    element_orders = parent.element_orders
+    orders = [element_orders[x] for cls in classes for x in cls]
+    class_sizes = sorted(map(len, classes))
     center = class_sizes.count(1)
     return Fingerprint(
-        order=len(members),
-        abelian=center == len(members),
+        order=len(orders),
+        abelian=center == len(orders),
         exponent=math.lcm(*orders),
         order_histogram=tuple(sorted(Counter(orders).items())),
         center_size=center,

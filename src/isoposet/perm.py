@@ -50,6 +50,8 @@ class Permutation:
         touched = set()
         for cycle in cycles:
             for x in cycle:
+                if not 0 <= x < degree:
+                    raise ValueError(f"point {x} is outside 0..{degree - 1}")
                 if x in touched:
                     raise ValueError(f"cycles are not disjoint at point {x}")
                 touched.add(x)
@@ -113,6 +115,40 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(_product(p.images, q.images))
 
 
+class _ProductRows:
+    """Rows read like a Cayley table: ``self[i][j]`` is the index in ``index``
+    of the permutation product elements[i] * elements[j], taken on every
+    read, so nothing is kept.  Row i is this view with ``left`` elements[i]."""
+
+    __slots__ = ("elements", "index", "left")
+
+    def __init__(self, elements: Sequence[Permutation], index: dict, left=None) -> None:
+        self.elements, self.index, self.left = elements, index, left
+
+    def __getitem__(self, i: int):
+        if self.left is None:
+            return _ProductRows(self.elements, self.index, self.elements[i].images)
+        return self.index[_product(self.left, self.elements[i].images)]
+
+
+def _power_walk(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """(orders, inverses) of the n elements of a group with these ``rows``:
+    each element not yet reached walks its powers up to the identity once,
+    and if i has order k, then i^e has order k / gcd(e, k), inverse i^(k-e)."""
+    orders, inverses = [0] * n, [0] * n
+    for i in range(n):
+        if not orders[i]:
+            row = rows[i]
+            powers = [i]  # powers[m] is i^(m+1), ending at the identity, index 0
+            while powers[-1]:
+                powers.append(row[powers[-1]])
+            k = len(powers)
+            for e, x in enumerate(powers, 1):
+                orders[x] = k // math.gcd(e, k)
+                inverses[x] = powers[k - e - 1]  # i^(k-e); at e = k, the identity
+    return tuple(orders), tuple(inverses)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite permutation group with every element enumerated.
@@ -122,10 +158,11 @@ class FiniteGroup:
     keeps ``moves``, right multiplication by each generator as an index
     map (``moves[k][a]`` is the index of elements[a] * generators[k]),
     which its closure walk computes anyway; within ``cayley_cap`` it also
-    keeps the Cayley table, whose generator columns are the same maps, and
-    inverses are read off that table.  Instances are immutable and all
-    operations on them are pure, so groups can be shared freely across
-    threads.  Construct through :func:`closure` or the catalog module.
+    keeps the Cayley table, whose generator columns are the same maps;
+    every product is read through :attr:`rows`, which tells the two kinds
+    apart.  Instances are immutable and all operations on them are pure,
+    so groups can be shared freely across threads.  Construct through
+    :func:`closure` or the catalog module.
     """
 
     identity_index: ClassVar[int] = 0
@@ -157,36 +194,38 @@ class FiniteGroup:
     def __contains__(self, p: Permutation) -> bool:
         return isinstance(p, Permutation) and p.images in self._index
 
+    @cached_property
+    def rows(self) -> Sequence[Sequence[int]]:
+        """``rows[i][j]`` is the index of elements[i] * elements[j]
+        (elements[i] applied first): the Cayley table, or past
+        ``cayley_cap`` a read-only view of the permutation products."""
+        if self.cayley_table is not None:
+            return self.cayley_table
+        return _ProductRows(self.elements, self._index)
+
     def mult(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (elements[i] applied first)."""
-        if self.cayley_table is not None:
-            return self.cayley_table[i][j]
-        return self._index[_product(self.elements[i].images, self.elements[j].images)]
+        return self.rows[i][j]
 
     @cached_property
-    def _inverses(self) -> tuple[int, ...]:
-        """Index of every element's inverse: the column where its Cayley
-        table row holds the identity, or else its inverse permutation's."""
-        if self.cayley_table is not None:
-            return tuple([row.index(self.identity_index) for row in self.cayley_table])
-        return tuple([self._index[p.inverse().images] for p in self.elements])
+    def _powers(self) -> tuple[tuple[int, ...], ...]:
+        """(element orders, inverse indices), from one walk of the powers."""
+        return _power_walk(self.rows, self.order)
 
     def inverse_index(self, i: int) -> int:
-        return self._inverses[i]
+        return self._powers[1][i]
 
     def conjugate_index(self, i: int, g: int) -> int:
         """Index of g^-1 * elements[i] * g."""
-        table = self.cayley_table
-        if table is not None:
-            return table[table[self._inverses[g]][i]][g]
-        return self.mult(self.mult(self._inverses[g], i), g)
+        rows = self.rows
+        return rows[rows[self._powers[1][g]][i]][g]
 
     @cached_property
     def conjugation_maps(self) -> tuple[tuple[int, ...], ...]:
         """The conjugation map of each distinct generator, read through its
         right-multiplication map m and the inverses: g^-1 * x * g is
         m[inv[m[inv[x]]]], as inv[m[inv[x]]] = (x^-1 * g)^-1 = g^-1 * x."""
-        inv = self._inverses
+        inv = self._powers[1]
         maps: dict[int, tuple[int, ...]] = {}
         for g, move in zip(self.generator_indices(), self.moves):
             if g not in maps:
@@ -209,7 +248,7 @@ class FiniteGroup:
         gens = [g for g in dict.fromkeys(seed) if g != self.identity_index]
         if not gens:
             return [self.identity_index]
-        table = self.cayley_table
+        rows = self.rows
         seen = bytearray(self.order)
         seen[self.identity_index] = 1
         members = [self.identity_index]
@@ -217,7 +256,7 @@ class FiniteGroup:
         while frontier:
             nxt = []
             for x in frontier:
-                row = table[x] if table is not None else {g: self.mult(x, g) for g in gens}
+                row = rows[x]
                 for g in gens:
                     y = row[g]
                     if not seen[y]:
@@ -236,12 +275,12 @@ class FiniteGroup:
         generated by ``gens``, or None once it exceeds ``stop_above`` members.
 
         Dimino's closure: the join is grown as a union of whole cosets e*H,
-        each a Cayley table row read at H's members, or else their products.
-        The union is closed under left multiplication by every generator s
-        once s*r lies in it for each coset representative r, since then
-        s*r*H is one of its cosets.
+        each row e of :attr:`rows` read at H's members.  The union is
+        closed under left multiplication by every generator s once s*r
+        lies in it for each coset representative r, since then s*r*H is
+        one of its cosets.
         """
-        table, mult = self.cayley_table, self.mult
+        rows = self.rows
         gens = [*gens, c]
         inside = set(members)
         reps = [self.identity_index]
@@ -249,13 +288,10 @@ class FiniteGroup:
             if stop_above is not None and len(inside) > stop_above:
                 return None
             for s in gens:
-                e = mult(s, r) if table is None else table[s][r]
+                e = rows[s][r]
                 if e not in inside:
-                    if table is None:
-                        inside.update([mult(e, h) for h in members])
-                    else:
-                        row = table[e]
-                        inside.update([row[h] for h in members])
+                    row = rows[e]
+                    inside.update([row[h] for h in members])
                     reps.append(e)
         return sorted(inside)
 
@@ -297,35 +333,10 @@ class FiniteGroup:
                 covered = set(current)
         return tuple(gens)
 
-    def orders_of(self, indices: Sequence[int]) -> list[int]:
-        """Order of each element in ``indices``, read off the table; a group
-        without one orders only those permutations, unless they are all of
-        its elements, so that a subgroup never orders its whole parent."""
-        if self.cayley_table is not None or len(indices) == self.order:
-            orders = self.element_orders
-            return [orders[i] for i in indices]
-        return [self.elements[i].order() for i in indices]
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        """Order of every element, by index.
-
-        With a Cayley table, the powers of each element not yet ordered are
-        walked once: if i has order k, then i^e has order k / gcd(e, k).
-        """
-        table = self.cayley_table
-        if table is None:
-            return tuple(p.order() for p in self.elements)
-        orders = [0] * self.order
-        for i, row in enumerate(table):
-            if not orders[i]:
-                powers = [i]  # i^1, i^2, ..., ending at the identity
-                while powers[-1] != self.identity_index:
-                    powers.append(row[powers[-1]])
-                k = len(powers)
-                for e, x in enumerate(powers, 1):
-                    orders[x] = k // math.gcd(e, k)
-        return tuple(orders)
+        """Order of every element, by index."""
+        return self._powers[0]
 
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
@@ -428,22 +439,18 @@ def realize(parent: FiniteGroup, gens: Sequence[int], *,
 
     The result equals ``closure(parent.degree, [parent.elements[g] for g in
     gens])`` element for element, with the same caps, but it is walked over
-    parent indices through ``parent.mult``, reuses the parent's
-    permutations, and takes its element orders from the parent's
-    :meth:`~FiniteGroup.orders_of`.
+    parent indices through ``parent.mult`` and reuses the parent's
+    permutations.
     """
     keys, table, moves = closure_walk(parent.identity_index, gens, parent.mult, limits=limits)
     elements = parent.elements
-    group = FiniteGroup(
+    return FiniteGroup(
         degree=parent.degree,
         generators=tuple(elements[g] for g in gens),
         elements=tuple([elements[i] for i in keys]),
         cayley_table=table,
         moves=moves,
     )
-    # fills the cached_property, as its first read would
-    object.__setattr__(group, "element_orders", tuple(parent.orders_of(keys)))
-    return group
 
 
 def element_order(group: FiniteGroup, i: int) -> int:

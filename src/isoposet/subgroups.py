@@ -56,9 +56,18 @@ class Subgroup:
         return f"<Subgroup of order {self.order} in {self.parent!r}>"
 
 
+def _indices(group: FiniteGroup, indices: Iterable[int]) -> list[int]:
+    """``indices`` as a list, or ValueError if one is not an element index."""
+    indices = list(indices)
+    for i in indices:
+        if not 0 <= i < group.order:
+            raise ValueError(f"{i} is not an element index of {group!r}")
+    return indices
+
+
 def subgroup_generated_by(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """The subgroup generated by the given element indices."""
-    seed = list(seed)
+    seed = _indices(group, seed)
     members = group.closure_indices(seed)
     gens = tuple(dict.fromkeys(s for s in seed if s != group.identity_index))
     return Subgroup(group, tuple(members), gens)
@@ -66,7 +75,7 @@ def subgroup_generated_by(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
 
 def subgroup_from_members(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
     """Wrap an element-index set as a Subgroup, checking it really is one."""
-    members = tuple(sorted(set(members)))
+    members = tuple(sorted(set(_indices(group, members))))
     gens = group.greedy_generator_indices(members)
     closed = tuple(group.closure_indices(list(members)))
     if closed != members:
@@ -78,6 +87,7 @@ def conjugate_subgroup(group: FiniteGroup, sub: Subgroup, g: int) -> Subgroup:
     """The conjugate subgroup {g^-1 h g : h in sub}."""
     if sub.parent is not group:
         raise ValueError("subgroup does not belong to this group")
+    _indices(group, [g])
     members = tuple(sorted(group.conjugate_index(h, g) for h in sub.members))
     gens = tuple(group.conjugate_index(h, g) for h in sub.gens)
     return Subgroup(group, members, gens)

@@ -23,6 +23,7 @@ from isoposet import (
     subgroup_generated_by,
     symmetric,
 )
+from isoposet import perm
 from isoposet.catalog import catalog_specs
 from isoposet.groupiso import _is_isomorphism, classify_with_data
 from isoposet.invariants import conjugacy_classes, invariants
@@ -77,18 +78,21 @@ def test_fingerprint_as_dict_is_json_ready():
 
 
 def test_element_orders_computed_once(call_counter):
-    # a group with a Cayley table reads its element orders off the table;
-    # one without orders each element's permutation exactly once
-    calls = call_counter(Permutation, "order")
-    g = symmetric(4)
-    fingerprint(g)
-    assert find_isomorphism(g, g) is not None
-    assert calls["order"] == 0
-    untabled = symmetric(4, limits=Limits(cayley_cap=8))
-    assert untabled.cayley_table is None
-    fingerprint(untabled)
-    assert find_isomorphism(untabled, untabled) is not None
-    assert calls["order"] == untabled.order
+    # every group, with a Cayley table or without one, takes its element
+    # orders and inverses from one walk of the powers through its rows,
+    # and never orders a permutation on its own
+    walks = call_counter(perm, "_power_walk", key=lambda rows, n: id(rows))
+    orders = call_counter(Permutation, "order")
+    for limits in (Limits(), Limits(cayley_cap=8)):
+        g = symmetric(4, limits=limits)
+        assert (g.cayley_table is None) == (limits.cayley_cap == 8)
+        fingerprint(g)
+        assert find_isomorphism(g, g) is not None
+        assert [g.inverse_index(i) for i in range(g.order)] == [
+            g.index_of(p.inverse()) for p in g.elements]
+        assert walks[id(g.rows)] == 1
+    assert sum(walks.values()) == 2
+    assert orders["order"] == 0
 
 
 def _class_representatives(lattice):

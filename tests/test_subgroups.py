@@ -358,12 +358,19 @@ def test_is_maximal_matches_lattice_flags():
 
 
 def test_groups_with_and_without_a_table_agree():
-    # the table and product paths of join, orders_of, the conjugation maps
-    # and is_normal give the same lattices, normal subgroups and invariants
+    # the product view reads every product as the Cayley table does, so
+    # the two kinds give the same orders, inverses, lattices, normal
+    # subgroups and invariants
     (_, tabled), (_, untabled) = _table_and_no_table_groups()
     for with_table, without in zip(tabled, untabled):
         assert with_table.elements == without.elements
         assert without.cayley_table is None
+        n = with_table.order
+        assert ([[without.rows[i][j] for j in range(n)] for i in range(n)]
+                == [list(row) for row in with_table.rows]), with_table.name
+        assert ([without.inverse_index(i) for i in range(n)]
+                == [with_table.inverse_index(i) for i in range(n)]), with_table.name
+        assert without.element_orders == with_table.element_orders, with_table.name
         lattices = [all_subgroups(with_table), all_subgroups(without)]
         subs = [lat.subgroups for lat in lattices]
         assert ([(s.members, s.gens) for s in subs[0]]
@@ -744,6 +751,27 @@ def test_conjugate_cyclic_by_own_generator():
     four_cycle = g.index_of(Permutation.from_cycles(4, (0, 1, 2, 3)))
     sub = subgroup_generated_by(g, [four_cycle])
     assert conjugate_subgroup(g, sub, four_cycle).members == sub.members
+
+
+_S4 = symmetric(4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: subgroup_generated_by(_S4, [-1]),
+    lambda: subgroup_generated_by(_S4, [24]),
+    lambda: subgroup_from_members(_S4, [0, 99]),
+    lambda: conjugate_subgroup(_S4, subgroup_generated_by(_S4, [1]), -1),
+    lambda: conjugate_subgroup(_S4, subgroup_generated_by(_S4, [1]), 24),
+    lambda: Permutation.from_cycles(3, (0, 5)),
+    lambda: Permutation.from_cycles(3, (0, -1)),
+], ids=["generated-negative", "generated-past-end", "members-past-end",
+        "conjugator-negative", "conjugator-past-end", "cycle-past-degree",
+        "cycle-negative"])
+def test_indices_outside_the_group_are_refused(call):
+    # a negative index would wrap to the last element, and one past the
+    # end would fail deep inside; both are refused at the entry point
+    with pytest.raises(ValueError, match="outside|not an element index"):
+        call()
 
 
 def test_subgroup_from_members_validates():
