@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .invariants import Fingerprint, _class_orbits, _invariants, invariants
+from .invariants import Fingerprint, _class_orbits, _invariants
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup
 from .subgroups import Subgroup, SubgroupLattice
@@ -102,16 +102,27 @@ def find_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup, *,
                      fh: Fingerprint | None = None) -> GroupIso | None:
     """An isomorphism from g onto h, or None when none exists."""
     (gp, gm, ggens), (hp, hm, hgens) = _view(g), _view(h)
-    if max(len(gm), len(hm)) > limits.iso_cap:
-        raise ResourceLimitError(
-            f"group order {max(len(gm), len(hm))} exceeds isomorphism cap {limits.iso_cap}"
-        )
+    _check_iso_cap(max(len(gm), len(hm)), limits)
     if len(gm) != len(hm):
         return None
     # each side's classes are walked once, for its fingerprint and its keys
     gclasses, hclasses = _class_orbits(gp, gm, ggens), _class_orbits(hp, hm, hgens)
     if (fg or _invariants(gp, ggens, gclasses)) != (fh or _invariants(hp, hgens, hclasses)):
         return None
+    return _search_isomorphism(g, h, gclasses, hclasses)
+
+
+def _check_iso_cap(order: int, limits: Limits) -> None:
+    if order > limits.iso_cap:
+        raise ResourceLimitError(f"group order {order} exceeds isomorphism cap {limits.iso_cap}")
+
+
+def _search_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup,
+                        gclasses: list[tuple[int, ...]],
+                        hclasses: list[tuple[int, ...]]) -> GroupIso | None:
+    """:func:`find_isomorphism` between two sides of one order and one
+    fingerprint, given each side's conjugacy classes."""
+    (gp, gm, _), (hp, hm, _) = _view(g), _view(h)
     if len(gm) == 1:
         return GroupIso((), (), (hp.identity_index,))
 
@@ -161,7 +172,7 @@ def classify_with_data(
     triples sorted by (fingerprint, members); the representative is the
     lowest-index member.  Conjugate subgroups are isomorphic, so only the
     lowest-index member of each conjugacy class is fingerprinted, in the
-    parent by :func:`invariants`, and its class inherits the result.
+    parent as :func:`invariants` does, and its class inherits the result.
     Representatives that share a fingerprint are compared in the parent.
     """
     if lattice.parent is not group:
@@ -169,17 +180,23 @@ def classify_with_data(
     conjugates: dict[int, list[int]] = {}
     for idx, cls in enumerate(lattice.class_of):
         conjugates.setdefault(cls, []).append(idx)
+    # each representative's classes are walked once, for its fingerprint
+    # and for every comparison it takes part in
+    walked: dict[int, list[tuple[int, ...]]] = {}
     buckets: dict[Fingerprint, list[list[int]]] = {}
     for orbit in conjugates.values():  # ordered by least member
         rep = lattice.subgroups[orbit[0]]
-        buckets.setdefault(invariants(group, rep.members, rep.gens), []).append(orbit)
+        walked[orbit[0]] = _class_orbits(group, rep.members, rep.gens)
+        buckets.setdefault(_invariants(group, rep.gens, walked[orbit[0]]), []).append(orbit)
     out: list[tuple[tuple[int, ...], Fingerprint, int]] = []
     for fp, orbits in buckets.items():
         classes: list[list[int]] = []  # each led by its least subgroup index
         for orbit in orbits:
             sub = lattice.subgroups[orbit[0]]
             for cls in classes:
-                if find_isomorphism(lattice.subgroups[cls[0]], sub, limits=limits, fg=fp, fh=fp):
+                _check_iso_cap(fp.order, limits)
+                if _search_isomorphism(lattice.subgroups[cls[0]], sub,
+                                       walked[cls[0]], walked[orbit[0]]):
                     cls += orbit
                     break
             else:

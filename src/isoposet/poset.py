@@ -134,57 +134,105 @@ class Poset:
         lexicographically least full placement wins.  Equal forms hold
         exactly for isomorphic posets.  The search keeps an explicit stack, one
         iterator of candidate nodes per position, so no recursion limit bounds n.
+
+        Candidates that an automorphism already covers are skipped, as in
+        McKay and Piperno, "Practical graph isomorphism, II" (2014).  Twins,
+        nodes with the same up and down covers, are swapped by an automorphism,
+        and two full placements with one form give the automorphism that maps
+        the first onto the second, re-checked edge by edge.  A candidate is
+        skipped when the automorphisms known to fix the placed prefix map a
+        sibling tried before it onto it.  The skipped subtree is the image of
+        that sibling's subtree, so it holds the same forms, and the first
+        placement that reaches the least form is never skipped: the form, the
+        placement and every digest are those of the search without skips.
         """
         n = self.n
         if n == 0:
             return (0, ()), ()
         colors = refine(self)
-        down = self.down
+        up, down = self.up, self.down
+        # colors keep the order of heights and the least color is placed
+        # first, so position k holds a node of color slots[k], and every node
+        # below a placed node was placed before it
+        slots = sorted(colors)
+        members: list[list[int]] = [[] for _ in range(slots[-1] + 1)]
+        for c in range(n):
+            members[colors[c]].append(c)
+        edges = set(self.hasse)
         placed: list[int] = []
-        unplaced = set(range(n))
+        placed_mask = 0
+        lo = [0] * n  # bit k of lo[c] is set when c covers the node at position k
         form: list[tuple[int, int, int]] = []
         best: tuple | None = None
         best_placed: tuple[int, ...] = ()
-
-        def signature(c: int, position: dict[int, int]) -> tuple[int, int, int]:
-            lo = 0
-            for x in down[c]:
-                if x in position:
-                    lo |= 1 << position[x]
-            # cover bits up from c to the placed prefix are always 0: colors
-            # keep the order of heights, so every node below a placed node
-            # was placed before it.  The 0 stays so that forms, and the
-            # digests hashed from them, do not change.
-            return (colors[c], lo, 0)
+        automorphisms: list[tuple[int, list[int]]] = []  # (mask of moved nodes, map)
 
         def level() -> Iterator[tuple[tuple[int, int, int], int]]:
             # the nodes of least signature may take the next position,
             # unless that signature already makes the form exceed the best
-            position = {x: pos for pos, x in enumerate(placed)}
-            sigs = {c: signature(c, position) for c in unplaced}
-            least = min(sigs.values())
-            if best is not None and tuple(form) + (least,) > best[: len(form) + 1]:
-                return iter(())
-            ties = sorted(c for c, s in sigs.items() if s == least)
-            return iter([(least, c) for c in ties])
+            color = slots[len(placed)]
+            free = [c for c in members[color] if not placed_mask >> c & 1]
+            least = min(lo[c] for c in free)
+            # cover bits up from a node to the placed prefix are always 0, as
+            # every node below a placed node was placed before it.  The 0
+            # stays so that forms, and the digests hashed from them, do not change.
+            sig = (color, least, 0)
+            if best is not None and tuple(form) + (sig,) > best[: len(form) + 1]:
+                return
+            ties = [c for c in free if lo[c] == least]
+            # orbits of the ties, each kept at its least member: twins (equal
+            # up and down covers) start joined, and each automorphism that
+            # fixes the prefix joins more, as it maps ties onto ties
+            first: dict[tuple, int] = {}
+            orbit = {c: first.setdefault((up[c], down[c]), c) for c in ties}
+
+            def root(c: int) -> int:
+                while orbit[c] != c:
+                    c = orbit[c]
+                return c
+
+            known = 0
+            for c in ties:
+                for moved, image in automorphisms[known:]:
+                    if not moved & placed_mask:
+                        for x in ties:
+                            a, b = root(x), root(image[x])
+                            if a != b:
+                                orbit[max(a, b)] = min(a, b)
+                known = len(automorphisms)
+                if root(c) == c:
+                    yield sig, c
 
         stack = [level()]
         while stack:
             if len(placed) == len(stack):
-                unplaced.add(placed.pop())
+                x = placed.pop()
+                placed_mask ^= 1 << x
+                for y in up[x]:
+                    lo[y] ^= 1 << len(placed)
                 form.pop()
             step = next(stack[-1], None)
             if step is None:
                 stack.pop()
                 continue
             sig, c = step
+            for y in up[c]:
+                lo[y] |= 1 << len(placed)
             placed.append(c)
-            unplaced.discard(c)
+            placed_mask |= 1 << c
             form.append(sig)
             if len(placed) < n:
                 stack.append(level())
             elif best is None or tuple(form) < best:
                 best, best_placed = tuple(form), tuple(placed)
+            elif tuple(form) == best:
+                image = [0] * n
+                for a, b in zip(best_placed, placed):
+                    image[a] = b
+                if {(image[a], image[b]) for a, b in edges} != edges:
+                    raise RuntimeError("equal canonical forms gave a non-automorphism")
+                moved = sum(1 << x for x in range(n) if image[x] != x)
+                automorphisms.append((moved, image))
         return (n, best), best_placed
 
 

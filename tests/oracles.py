@@ -7,9 +7,11 @@ element subset, the conjugacy oracles conjugate by every element, the
 containment oracle tests every pair of member sets, the coset oracle
 multiplies every subgroup member by every element, and the product oracle
 closes the padded generators as permutations.
-The classification oracle is the exception: it is the per-subgroup
+The classification oracle is an exception: it is the per-subgroup
 classification that the one-per-conjugacy-class path replaced, run on
-every subgroup with the library's own isomorphism search.
+every subgroup with the library's own isomorphism search.  So is the
+canonical-labeling oracle: it is the canonical search without automorphism
+pruning, which tries every order of tied nodes, on the library's refinement.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from isoposet import (
     element_order,
     find_isomorphism,
     fingerprint,
+    refine,
 )
 
 
@@ -77,6 +80,37 @@ def oracle_poset_isomorphic(p: Poset, q: Poset) -> bool:
         if {(perm[a], perm[b]) for a, b in p.hasse} == target:
             return True
     return False
+
+
+def oracle_canonical_labeling(p: Poset) -> tuple[tuple, tuple[int, ...]]:
+    """``Poset._canonical_labeling`` without automorphism pruning: every
+    order of the nodes of least signature is tried at every position, and
+    the first full placement with the least form wins.  Factorial in twins,
+    so only for posets with few of them."""
+    n = p.n
+    if n == 0:
+        return (0, ()), ()
+    colors = refine(p)
+    best: tuple | None = None
+    best_placed: tuple[int, ...] = ()
+
+    def search(placed: list[int], form: list[tuple[int, int, int]]) -> None:
+        nonlocal best, best_placed
+        if len(placed) == n:
+            if best is None or tuple(form) < best:
+                best, best_placed = tuple(form), tuple(placed)
+            return
+        position = {x: pos for pos, x in enumerate(placed)}
+        sigs = {c: (colors[c], sum(1 << position[x] for x in p.down[c] if x in position), 0)
+                for c in range(n) if c not in position}
+        least = min(sigs.values())
+        if best is not None and tuple(form) + (least,) > best[: len(form) + 1]:
+            return
+        for c in sorted(c for c, s in sigs.items() if s == least):
+            search(placed + [c], form + [least])
+
+    search([], [])
+    return (n, best), best_placed
 
 
 def relabeled(p: Poset, perm: list[int]) -> Poset:

@@ -23,7 +23,7 @@ from isoposet import (
     subgroup_generated_by,
     symmetric,
 )
-from isoposet import perm
+from isoposet import groupiso, perm
 from isoposet.catalog import catalog_specs
 from isoposet.groupiso import _is_isomorphism, classify_with_data
 from isoposet.invariants import conjugacy_classes, invariants
@@ -119,7 +119,9 @@ def test_conjugacy_classes_match_bruteforce_oracle():
 
 def test_parent_without_a_table_reads_like_one_with(call_counter):
     # the mult paths of a parent with no Cayley table agree with the table
-    # reads, and they order only a subgroup's members, never the parent's
+    # reads, and each parent's element orders come from one walk of its
+    # rows, however many subgroups read them
+    walks = call_counter(perm, "_power_walk", key=lambda rows, n: id(rows))
     tabled = symmetric(4)
     untabled = symmetric(4, limits=Limits(cayley_cap=8))
     assert untabled.cayley_table is None
@@ -128,12 +130,10 @@ def test_parent_without_a_table_reads_like_one_with(call_counter):
     for g in range(tabled.order):
         assert ([untabled.conjugate_index(i, g) for i in range(tabled.order)]
                 == [tabled.conjugate_index(i, g) for i in range(tabled.order)])
-    orders = call_counter(Permutation, "order")
     for sub in _class_representatives(all_subgroups(tabled)):
-        before = orders["order"]
         fp = invariants(untabled, sub.members, sub.gens)
         assert fp == invariants(tabled, sub.members, sub.gens), sub.members
-        assert orders["order"] - before <= sub.order
+    assert walks == {id(tabled.rows): 1, id(untabled.rows): 1}
 
 
 def test_conjugacy_classes_read_the_table(call_counter):
@@ -333,6 +333,16 @@ def test_classify_realizes_one_subgroup_per_conjugacy_class(psl27, psl27_lattice
     classify_with_data(psl27, psl27_lattice)
     assert calls["as_group"] == 0
     assert len(set(psl27_lattice.class_of)) == 15
+
+
+def test_classify_walks_each_representatives_classes_once(psl27, psl27_lattice, call_counter):
+    # the classes walked for a representative's fingerprint also key its
+    # isomorphism searches: 15 walks for PSL(2,7)'s 15 representatives
+    walks = call_counter(groupiso, "_class_orbits",
+                         key=lambda parent, members, gens: tuple(members))
+    classify_with_data(psl27, psl27_lattice)
+    assert sum(walks.values()) == 15
+    assert len(walks) == 15
 
 
 def test_classify_reads_element_data_from_the_parent(call_counter):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,47 @@ from isoposet import (
     refine,
 )
 
-from oracles import oracle_poset_isomorphic, relabeled
+from oracles import oracle_canonical_labeling, oracle_poset_isomorphic, relabeled
 
 CHAIN3 = Poset(3, ((0, 1), (1, 2)))
 ANTICHAIN3 = Poset(3, ())
 DIAMOND = Poset(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
+
+
+def antichain(m: int) -> Poset:
+    return Poset(m, ())
+
+
+def boolean(k: int) -> Poset:
+    """Subsets of k elements under inclusion, node s the subset with bitmask s."""
+    return Poset(1 << k, tuple((s, s | 1 << b) for s in range(1 << k)
+                               for b in range(k) if not s >> b & 1))
+
+
+def divisor_lattice(n: int) -> Poset:
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    index = {d: i for i, d in enumerate(divisors)}
+    return Poset(len(divisors), tuple(
+        (index[d], index[e]) for d in divisors for e in divisors
+        if e > d and e % d == 0 and all((e // d) % q for q in range(2, e // d))
+    ))
+
+
+def crown(m: int) -> Poset:
+    """m minimal nodes, each covered by maximal nodes m + i and m + (i + 1) % m:
+    one cycle through all 2m nodes."""
+    return Poset(2 * m, tuple(sorted(
+        [(i, m + i) for i in range(m)] + [(i, m + (i + 1) % m) for i in range(m)]
+    )))
+
+
+def disjoint(copies: int, p: Poset) -> Poset:
+    return Poset(copies * p.n, tuple((a + k * p.n, b + k * p.n)
+                                     for k in range(copies) for a, b in p.hasse))
+
+
+# a 4-crown wired as two disjoint 2x2 blocks: degree and height data match crown(4)
+CROWN_BLOCKS = Poset(8, ((0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)))
 
 
 def random_poset(seed: int, max_nodes: int = 8) -> Poset:
@@ -185,14 +222,70 @@ def test_backtracking_separates_refinement_equivalent_crowns():
     # two 4-crowns with identical degree/height data everywhere: one wired
     # as a single 8-cycle, one as two disjoint 2x2 blocks; refinement alone
     # cannot tell them apart, completeness must come from the search
-    cycle = Poset(8, tuple(sorted(
-        [(i, 4 + i) for i in range(4)] + [(i, 4 + (i + 1) % 4) for i in range(4)]
-    )))
-    blocks = Poset(8, ((0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)))
+    cycle, blocks = crown(4), CROWN_BLOCKS
     assert sorted(refine(cycle)) == sorted(refine(blocks))
     assert not oracle_poset_isomorphic(cycle, blocks)
     assert not are_posets_isomorphic(cycle, blocks)
     assert canonical_hash(cycle) != canonical_hash(blocks)
+
+
+@st.composite
+def small_posets(draw, max_nodes: int = 7) -> Poset:
+    """The order closing a random set of pairs a < b on at most max_nodes nodes."""
+    n = draw(st.integers(0, max_nodes))
+    above = [0] * n
+    for a, b in draw(st.sets(st.tuples(st.integers(0, max(n - 1, 0)),
+                                       st.integers(0, max(n - 1, 0))))):
+        if a < b:
+            above[a] |= 1 << b
+    for a in reversed(range(n)):
+        for b in range(a + 1, n):
+            if above[a] >> b & 1:
+                above[a] |= above[b]
+    return Poset.from_relation(n, [(a, b) for a in range(n) for b in range(n)
+                                   if above[a] >> b & 1])
+
+
+def assert_search_matches_oracle(p: Poset) -> None:
+    """The pruned search reaches the unpruned search's form by the same placement."""
+    assert Poset(p.n, p.hasse)._canonical_labeling == oracle_canonical_labeling(p)
+
+
+@given(small_posets())
+@settings(max_examples=150, deadline=None)
+def test_canonical_labeling_matches_unpruned_search(p):
+    assert_search_matches_oracle(p)
+
+
+SYMMETRIC_POSETS = {
+    **{f"antichain{m}": antichain(m) for m in range(1, 8)},
+    **{f"B{k}": boolean(k) for k in range(1, 5)},
+    "crown4": crown(4), "crown5": crown(5), "crown-blocks": CROWN_BLOCKS,
+    "3xB2": disjoint(3, boolean(2)),
+    **{f"divisors{n}": divisor_lattice(n) for n in (60, 360, 2520)},
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_POSETS)
+def test_canonical_labeling_matches_unpruned_search_on_symmetric_posets(name):
+    assert_search_matches_oracle(SYMMETRIC_POSETS[name])
+
+
+def test_symmetric_posets_past_the_unpruned_reach():
+    # the unpruned search tries every order of twins and of symmetric
+    # blocks: 60! placements for antichain(60), 8! block orders for 8 x B2
+    rng = random.Random(60)
+    start = time.perf_counter()
+    for p in (antichain(60), boolean(7), disjoint(8, boolean(2)), disjoint(5, boolean(3))):
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        q = relabeled(p, perm)
+        assert canonical_hash(p) == canonical_hash(q)
+        mapping = find_poset_isomorphism(p, q)
+        assert sorted(mapping) == list(range(p.n))
+        assert {(mapping[a], mapping[b]) for a, b in p.hasse} == set(q.hasse)
+    # about 0.2 s in all; the unpruned search runs past 20 s on B7 alone
+    assert time.perf_counter() - start < 5.0
 
 
 def test_canonical_hash_separates_chain_and_antichain():
