@@ -15,7 +15,7 @@ from typing import Sequence
 from .invariants import Fingerprint, _class_orbits, _invariants
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup
-from .subgroups import Subgroup, SubgroupLattice
+from .subgroups import Subgroup, SubgroupLattice, _view
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,6 @@ class GroupIso:
     generator_indices: tuple[int, ...]
     generator_images: tuple[int, ...]
     mapping: tuple[int, ...]
-
-
-def _view(side: FiniteGroup | Subgroup) -> tuple[FiniteGroup, Sequence[int], Sequence[int]]:
-    """(group, member indices, generator indices) of a whole group, or of a
-    subgroup read in its parent."""
-    if isinstance(side, Subgroup):
-        return side.parent, side.members, side.gens
-    return side, range(side.order), side.generator_indices()
 
 
 def _element_keys(group: FiniteGroup, classes: list[tuple[int, ...]]) -> dict[int, tuple[int, int]]:

@@ -49,6 +49,8 @@ class Permutation:
         images = list(range(degree))
         touched = set()
         for cycle in cycles:
+            if not cycle:
+                raise ValueError("a cycle needs at least one point")
             for x in cycle:
                 if not 0 <= x < degree:
                     raise ValueError(f"point {x} is outside 0..{degree - 1}")
@@ -430,29 +432,3 @@ def closure(
         moves=moves,
         name=name,
     )
-
-
-def realize(parent: FiniteGroup, gens: Sequence[int], *,
-            limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
-    """The subgroup of ``parent`` generated by the element indices ``gens``,
-    as a standalone group.
-
-    The result equals ``closure(parent.degree, [parent.elements[g] for g in
-    gens])`` element for element, with the same caps, but it is walked over
-    parent indices through ``parent.mult`` and reuses the parent's
-    permutations.
-    """
-    keys, table, moves = closure_walk(parent.identity_index, gens, parent.mult, limits=limits)
-    elements = parent.elements
-    return FiniteGroup(
-        degree=parent.degree,
-        generators=tuple(elements[g] for g in gens),
-        elements=tuple([elements[i] for i in keys]),
-        cayley_table=table,
-        moves=moves,
-    )
-
-
-def element_order(group: FiniteGroup, i: int) -> int:
-    """Smallest k >= 1 with elements[i]^k equal to the identity."""
-    return group.element_orders[i]

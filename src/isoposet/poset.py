@@ -25,6 +25,8 @@ class Poset:
     hasse: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"node count must be non-negative, got {self.n}")
         seen = set()
         for lo, hi in self.hasse:
             if not (0 <= lo < self.n and 0 <= hi < self.n) or lo == hi:

@@ -11,7 +11,8 @@ under conjugation by the generators.  Joins are closed coset by coset
 Normal structure needs no lattice: every normal subgroup is a join of
 normal closures of conjugacy classes, so ``normal_subgroups``,
 ``is_simple`` and ``composition_factors`` are built from the conjugacy
-classes alone and work above ``enum_cap``.
+classes alone and work above ``enum_cap``.  ``normal_subgroups`` also
+reads a subgroup in its parent, so composition factors rebuild none.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .invariants import (Fingerprint, _orbits, conjugacy_classes, derived_subgroup_indices,
-                         fingerprint)
+from .invariants import Fingerprint, _class_orbits, _orbits, derived_subgroup_indices, invariants
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
-from .perm import FiniteGroup, Permutation, closure, element_order, realize
+from .perm import FiniteGroup, Permutation, closure
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,12 +48,21 @@ class Subgroup:
         return set(self.members).issuperset(other.members)
 
     def as_group(self, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
-        """Standalone FiniteGroup realization on the parent's points, read
-        off the parent's multiplication (equal to closing ``gens`` anew)."""
-        return realize(self.parent, self.gens, limits=limits)
+        """A standalone FiniteGroup on the parent's points: ``gens`` closed
+        anew.  The library compares subgroups in their parent instead."""
+        parent = self.parent
+        return closure(parent.degree, [parent.elements[g] for g in self.gens], limits=limits)
 
     def __repr__(self) -> str:
         return f"<Subgroup of order {self.order} in {self.parent!r}>"
+
+
+def _view(side: FiniteGroup | Subgroup) -> tuple[FiniteGroup, Sequence[int], Sequence[int]]:
+    """(group, member indices, generator indices) of a whole group, or of a
+    subgroup read in its parent."""
+    if isinstance(side, Subgroup):
+        return side.parent, side.members, side.gens
+    return side, range(side.order), side.generator_indices()
 
 
 def _indices(group: FiniteGroup, indices: Iterable[int]) -> list[int]:
@@ -459,7 +468,7 @@ def has_subgroup_of_order(group: FiniteGroup, m: int, *,
             raise ValueError("lattice does not belong to this group")
         return any(s.order == m for s in lattice.subgroups)
     if _every_group_cyclic(m):
-        return any(element_order(group, i) == m for i in range(group.order))
+        return m in group.element_orders
     if group.order <= limits.enum_cap:
         lattice = all_subgroups(group, limits=limits, cache_dir=cache_dir)
         return any(s.order == m for s in lattice.subgroups)
@@ -469,17 +478,23 @@ def has_subgroup_of_order(group: FiniteGroup, m: int, *,
     )
 
 
-def normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """Every normal subgroup, sorted by (order, members).
+def normal_subgroups(side: FiniteGroup | Subgroup) -> list[Subgroup]:
+    """Every normal subgroup of a group, or of a subgroup read in its
+    parent, sorted by (order, members); a subgroup's normal subgroups are
+    subgroups of its parent.
 
     A normal subgroup is the join of the normal closures of the conjugacy
     classes it contains.  Each class's normal closure is computed once,
     and joining each distinct closure onto every normal subgroup found
     before it reaches them all, without enumerating the subgroup lattice.
+    In a subgroup H, classes are the orbits of conjugation by H's
+    generators, and closures are normalized by them; a closure inside a
+    proper subgroup never passes half the parent, so the parent's
+    Lagrange shortcut in ``normal_closure_indices`` never fires.
     """
-    conjugators = group.generator_indices()
+    group, members, conjugators = _view(side)
     closures: dict[tuple[int, ...], tuple[int, ...]] = {}  # members -> class representatives
-    for cls in conjugacy_classes(group):
+    for cls in _class_orbits(group, members, conjugators):
         closures.setdefault(tuple(group.normal_closure_indices([cls[0]], conjugators)), (cls[0],))
     found = {(group.identity_index,): ()}
     for closure_members, seed in closures.items():
@@ -524,18 +539,28 @@ def composition_factors(group: FiniteGroup, *,
                         limits: Limits = DEFAULT_LIMITS) -> tuple[Fingerprint, ...]:
     """Fingerprints of the composition factors, as a sorted tuple.
 
-    Splits along the smallest nontrivial normal subgroup N and recurses on
-    N and G/N; by Jordan-Hoelder the multiset does not depend on which N
-    is taken.
+    The smallest nontrivial normal subgroup N is minimal normal, so N is
+    T^k for one simple group T (Robinson, A Course in the Theory of
+    Groups, on characteristically simple groups).  T is N's own smallest nontrivial normal subgroup,
+    fingerprinted in the parent, and is a factor k times; the loop goes on
+    with G/N as a coset action.  By Jordan-Hoelder the multiset does not
+    depend on which N is taken.  No subgroup is rebuilt as a group.
     """
-    if group.order == 1:
-        return ()
-    normals = normal_subgroups(group)
-    if len(normals) == 2:
-        return (fingerprint(group),)
-    smallest = normals[1]
-    factors = composition_factors(smallest.as_group(limits=limits), limits=limits)
-    factors += composition_factors(coset_action(group, smallest, limits=limits), limits=limits)
+    factors: list[Fingerprint] = []
+    while group.order > 1:
+        minimal = normal_subgroups(group)[1]
+        whole = minimal.order == group.order  # G is simple: T = G, and the loop ends
+        simple = minimal if whole else normal_subgroups(minimal)[1]
+        k, rest = 0, minimal.order
+        while rest % simple.order == 0:
+            k, rest = k + 1, rest // simple.order
+        if rest != 1:
+            raise RuntimeError(f"minimal normal subgroup of order {minimal.order} "
+                               f"is not a power of a group of order {simple.order}")
+        factors += [invariants(group, simple.members, simple.gens)] * k
+        if whole:
+            break
+        group = coset_action(group, minimal, limits=limits)
     return tuple(sorted(factors))
 
 

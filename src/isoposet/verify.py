@@ -20,7 +20,7 @@ from .classposet import IsoPoset, build_iso_poset, downset, maximal_nontop_class
 from .groupiso import are_isomorphic, find_isomorphism
 from .invariants import fingerprint
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
-from .perm import FiniteGroup, Permutation, element_order
+from .perm import FiniteGroup, Permutation
 from .poset import canonical_hash, find_poset_isomorphism
 from .subgroups import (
     all_subgroups,
@@ -264,9 +264,7 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
                 ok = False
         # stronger for SL(2,5): no subgroup of order 15 at all, by element orders
         sl = candidate("SL(2,5)")[0]
-        evidence["SL(2,5)"]["element_order_15"] = any(
-            element_order(sl, i) == 15 for i in range(sl.order)
-        )
+        evidence["SL(2,5)"]["element_order_15"] = 15 in sl.element_orders
         return _decide(ok, evidence)
 
     def claim_composition_factors():
@@ -333,9 +331,7 @@ def verify_remark(*, limits: Limits = DEFAULT_LIMITS,
 
     def claim_copy_not_maximal():
         not_maximal = not is_maximal(product, left_copy)
-        involution = next(
-            i for i in range(a5.order) if element_order(a5, i) == 2
-        )
+        involution = a5.element_orders.index(2)
         witness = subgroup_generated_by(
             product,
             list(left_copy.gens) + [embed(ident, a5.elements[involution].images)],

@@ -12,6 +12,9 @@ classification that the one-per-conjugacy-class path replaced, run on
 every subgroup with the library's own isomorphism search.  So is the
 canonical-labeling oracle: it is the canonical search without automorphism
 pruning, which tries every order of tied nodes, on the library's refinement.
+And so is the composition-factor oracle: it recurses on the smallest
+normal subgroup rebuilt as a group and on the quotient, with the library's
+``normal_subgroups`` and ``coset_action``.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from isoposet import (
     Permutation,
     Poset,
     closure,
-    element_order,
+    coset_action,
     find_isomorphism,
     fingerprint,
+    normal_subgroups,
     refine,
 )
 
@@ -42,10 +46,10 @@ def oracle_group_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
         return False
     by_order_g: dict[int, list[int]] = {}
     for i in range(g.order):
-        by_order_g.setdefault(element_order(g, i), []).append(i)
+        by_order_g.setdefault(g.element_orders[i], []).append(i)
     by_order_h: dict[int, list[int]] = {}
     for j in range(h.order):
-        by_order_h.setdefault(element_order(h, j), []).append(j)
+        by_order_h.setdefault(h.element_orders[j], []).append(j)
     profile_g = sorted((k, len(v)) for k, v in by_order_g.items())
     profile_h = sorted((k, len(v)) for k, v in by_order_h.items())
     if profile_g != profile_h:
@@ -229,3 +233,20 @@ def oracle_direct_product(g: FiniteGroup, h: FiniteGroup, *,
              for p in h.generators]
     name = f"{g.name}x{h.name}" if g.name and h.name else None
     return closure(degree, gens, limits=limits, name=name)
+
+
+def oracle_composition_factors(group: FiniteGroup, *,
+                               limits: Limits = DEFAULT_LIMITS) -> tuple:
+    """Composition factors by recursion: split along the smallest nontrivial
+    normal subgroup N, rebuild N as a group of its own, and recurse on N
+    and on G/N."""
+    if group.order == 1:
+        return ()
+    normals = normal_subgroups(group)
+    if len(normals) == 2:
+        return (fingerprint(group),)
+    smallest = normals[1]
+    factors = oracle_composition_factors(smallest.as_group(limits=limits), limits=limits)
+    factors += oracle_composition_factors(coset_action(group, smallest, limits=limits),
+                                          limits=limits)
+    return tuple(sorted(factors))

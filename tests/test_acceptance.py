@@ -19,7 +19,6 @@ from isoposet import (
     cyclic,
     dihedral,
     downset,
-    element_order,
     fingerprint,
     group_from_name,
     has_subgroup_of_order,
@@ -253,7 +252,7 @@ def test_criterion_10_property_suites(cache_dir):
         for p in (2, 3, 5, 7):
             if group.order % p:
                 continue
-            elements = sum(1 for i in range(group.order) if element_order(group, i) == p)
+            elements = group.element_orders.count(p)
             subs = sum(1 for s in lattice.subgroups if s.order == p)
             if subs != elements // (p - 1):
                 failures.append(("prime-count", name, p))

@@ -1,6 +1,7 @@
 """Layering: only ``FiniteGroup.rows`` chooses between a group with a
 Cayley table and one without; every other function reads products
-through it."""
+through it.  Subgroups are read in their parent: only the remark rebuilds
+one as a group of its own."""
 
 import ast
 from pathlib import Path
@@ -44,4 +45,28 @@ def test_inside_perm_only_rows_reads_the_cayley_table():
     # the constructors that pass ``cayley_table=`` stay allowed
     uses = _cayley_table_uses(next(p for p in MODULES if p.stem == "perm"))
     assert {function for _, function, kind in uses if kind == "read"} == {"rows"}
-    assert {function for _, function, kind in uses if kind == "keyword"} == {"closure", "realize"}
+    assert {function for _, function, kind in uses if kind == "keyword"} == {"closure"}
+
+
+def _as_group_calls(path: Path) -> set[tuple[str, str]]:
+    """(module, outermost enclosing function) of every ``.as_group(`` call
+    in the module at ``path``."""
+    calls = set()
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if function is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "as_group"):
+            calls.add((path.stem, function or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text("utf-8")), None)
+    return calls
+
+
+def test_only_the_remark_rebuilds_a_subgroup():
+    # A5xA5 has no table, so the remark compares its two copies of A5
+    # rebuilt with tables of their own (see ROADMAP item 10)
+    assert set().union(*map(_as_group_calls, MODULES)) == {("verify", "verify_remark")}

@@ -15,7 +15,6 @@ from isoposet import (
     compose,
     cyclic,
     dihedral,
-    element_order,
     psl2,
     sl2_5,
     symmetric,
@@ -69,6 +68,8 @@ def test_from_cycles_and_order():
     assert p.cycles() == [(0, 1), (2, 3, 4)]
     with pytest.raises(ValueError, match="disjoint"):
         perm((0, 1), (1, 2), degree=3)
+    with pytest.raises(ValueError, match="at least one point"):
+        Permutation.from_cycles(3, ())
 
 
 def test_closure_cyclic_generator():
@@ -151,19 +152,19 @@ def test_cayley_table_matches_compose_on_odd_inputs(gens):
 
 def test_element_order_identity():
     g = dihedral(10)
-    assert element_order(g, g.identity_index) == 1
+    assert g.element_orders[g.identity_index] == 1
 
 
 def test_element_order_cyclic_generator():
     g = cyclic(6)
     gen = g.index_of(g.generators[0])
-    assert element_order(g, gen) == 6
+    assert g.element_orders[gen] == 6
 
 
 def test_a5_element_order_histogram():
     # by hand: 24 five-cycles, 20 three-cycles, 15 double transpositions
     g = alternating(5)
-    hist = Counter(element_order(g, i) for i in range(g.order))
+    hist = Counter(g.element_orders)
     assert dict(hist) == {1: 1, 2: 15, 3: 20, 5: 24}
 
 
@@ -176,8 +177,7 @@ def test_element_orders_from_table_match_permutation_orders():
 
 def test_element_orders_divide_group_order():
     for g in (symmetric(4), dihedral(12), alternating(5)):
-        for i in range(g.order):
-            assert g.order % element_order(g, i) == 0
+        assert all(g.order % k == 0 for k in g.element_orders)
 
 
 @st.composite

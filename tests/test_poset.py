@@ -102,6 +102,10 @@ def test_poset_rejects_bad_edges():
         Poset(2, ((0, 0),))
     with pytest.raises(ValueError, match="duplicate"):
         Poset(2, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="node count must be non-negative, got -1"):
+        Poset(-1, ())
+    with pytest.raises(ValueError, match="node count must be non-negative, got -2"):
+        Poset.from_relation(-2, [])
 
 
 def test_from_relation_reduces():

@@ -22,7 +22,6 @@ from isoposet import (
     dicyclic,
     dihedral,
     direct_product,
-    element_order,
     find_isomorphism,
     fingerprint,
     has_subgroup_of_order,
@@ -45,6 +44,7 @@ from isoposet.subgroups import _every_group_cyclic
 
 from oracles import (
     oracle_closure,
+    oracle_composition_factors,
     oracle_conjugacy_classes,
     oracle_containment,
     oracle_right_cosets,
@@ -325,7 +325,7 @@ def test_prime_order_subgroup_count_crosscheck():
     for group in (symmetric(3), symmetric(4), alternating(4), dihedral(12),
                   cyclic(12), alternating(5)):
         lattice = all_subgroups(group)
-        orders = Counter(element_order(group, i) for i in range(group.order))
+        orders = Counter(group.element_orders)
         for p in (2, 3, 5, 7):
             if group.order % p:
                 continue
@@ -647,6 +647,44 @@ def test_normal_structure_above_enum_cap(a5):
     assert product.order > Limits().enum_cap
     assert [n.order for n in normal_subgroups(product)] == [1, 60, 60, 3600]
     assert composition_factors(product) == (fingerprint(a5), fingerprint(a5))
+
+
+def _a5_wreath_z2() -> FiniteGroup:
+    """A5 wr Z2 on 10 points: A5 on 0..4 and the swap of the two blocks.
+    Its minimal normal subgroup is A5xA5, T^k with k = 2 and T simple."""
+    a5 = alternating(5)
+    gens = [Permutation(p.images + tuple(range(5, 10))) for p in a5.generators]
+    gens.append(Permutation(tuple(range(5, 10)) + tuple(range(5))))
+    return closure(10, gens)
+
+
+def test_composition_factors_match_recursive_oracle(a5):
+    # the T^k split in the parent against recursion on rebuilt subgroups
+    groups = [spec.build() for spec in catalog_specs()]
+    groups += [direct_product(a5, a5), _a5_wreath_z2()]
+    for group in groups:
+        assert composition_factors(group) == oracle_composition_factors(group), group.name
+    assert [fp.order for fp in composition_factors(groups[-1])] == [2, 60, 60]
+
+
+def test_normal_subgroups_of_a_subgroup_match_its_rebuilt_group():
+    # read in the parent, with or without its table, or rebuilt on its own
+    for name in ("S4", "SL(2,5)", "A5xZ2", "PSL(2,7)", "S5"):
+        for limits in (Limits(), Limits(cayley_cap=0)):
+            group = group_from_name(name, limits=limits)
+            lattice = all_subgroups(group)
+            for i in sorted({lattice.class_of.index(c) for c in lattice.class_of}):
+                sub = lattice.subgroups[i]
+                rebuilt = sub.as_group()
+                expected = sorted(
+                    (tuple(sorted(group.index_of(rebuilt.elements[x]) for x in n.members))
+                     for n in normal_subgroups(rebuilt)),
+                    key=lambda m: (len(m), m))
+                normals = normal_subgroups(sub)
+                assert [n.members for n in normals] == expected, (name, sub.members)
+                for n in normals:
+                    assert n.parent is group
+                    assert tuple(group.closure_indices(n.gens)) == n.members
 
 
 def test_normal_subgroups_close_each_class_once(a5, call_counter):

@@ -89,13 +89,19 @@ def test_normal_structure_enumerates_no_lattice(monkeypatch, sl25, call_counter)
 
 
 def test_verify_all_realizes_few_subgroups(cache_dir, call_counter):
-    # classification, recognition and the PSL claims compare subgroups in
-    # their parents; only composition factors recurse on a realized
-    # subgroup (3), and the remark realizes its two copies of A5 in A5xA5,
-    # which has no table to read them in
+    # classification, recognition, composition factors and the PSL claims
+    # read subgroups in their parents; only the remark rebuilds its two
+    # copies of A5 in A5xA5, which has no table to read them in
     calls = call_counter(subgroups.Subgroup, "as_group")
     verify_all(cache_dir=cache_dir)
-    assert calls["as_group"] <= 5
+    assert calls["as_group"] == 2
+
+
+def test_composition_factors_realize_no_subgroup(call_counter):
+    calls = call_counter(subgroups.Subgroup, "as_group")
+    for name in ("S5", "A5xZ2", "SL(2,5)"):
+        assert sorted(fp.order for fp in composition_factors(group_from_name(name))) == [2, 60]
+    assert calls["as_group"] == 0
 
 
 def test_scan_realizes_no_subgroup(cache_dir, call_counter):
