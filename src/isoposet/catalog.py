@@ -18,12 +18,16 @@ from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .perm import FiniteGroup, Permutation, _unchecked, closure, closure_walk
 
 
-def _check_order(name: str, order: int, limits: Limits) -> None:
-    """Refuse a group whose order, known from its parameters, is past
-    ``element_cap``, before a permutation of it is built."""
+def _check_order(name: str, order: int, degree: int, limits: Limits) -> None:
+    """Refuse a group whose order or permutation degree, known from its
+    parameters, is past ``element_cap`` or ``degree_cap``, before a
+    permutation of it is built.  The order is checked first."""
     if order > limits.element_cap:
         cap = limits.element_cap
         raise ResourceLimitError(f"{name} has more than {cap} elements (element cap {cap})")
+    if degree > limits.degree_cap:
+        cap = limits.degree_cap
+        raise ResourceLimitError(f"{name} acts on {degree} points (degree cap {cap})")
 
 
 def _factorial_within(n: int, bound: int) -> int:
@@ -36,7 +40,7 @@ def cyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Cyclic group of order n as the n-cycle on n points."""
     if n < 1:
         raise ValueError(f"cyclic order must be positive, got {n}")
-    _check_order(f"Z{n}", n, limits)
+    _check_order(f"Z{n}", n, n, limits)
     if n == 1:
         return closure(1, [], limits=limits, name="Z1")
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
@@ -47,7 +51,7 @@ def dihedral(order: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Dihedral group of the given order (order = 2n, n >= 3) on n points."""
     if order < 6 or order % 2:
         raise ValueError(f"dihedral order must be an even number >= 6, got {order}")
-    _check_order(f"D{order}", order, limits)
+    _check_order(f"D{order}", order, order // 2, limits)
     n = order // 2
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
     flip = Permutation(tuple((-i) % n for i in range(n)))
@@ -58,7 +62,7 @@ def symmetric(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Symmetric group on n points."""
     if n < 1:
         raise ValueError(f"symmetric degree must be positive, got {n}")
-    _check_order(f"S{n}", _factorial_within(n, limits.element_cap), limits)
+    _check_order(f"S{n}", _factorial_within(n, limits.element_cap), n, limits)
     if n == 1:
         return closure(1, [], limits=limits, name="S1")
     gens = [Permutation.from_cycles(n, (0, 1))]
@@ -71,7 +75,7 @@ def alternating(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Alternating group on n points, n >= 3."""
     if n < 3:
         raise ValueError(f"alternating degree must be at least 3, got {n}")
-    _check_order(f"A{n}", _factorial_within(n, 2 * limits.element_cap) // 2, limits)
+    _check_order(f"A{n}", _factorial_within(n, 2 * limits.element_cap) // 2, n, limits)
     gens = [Permutation.from_cycles(n, (0, 1, 2))]
     if n > 3:
         if n % 2:
@@ -137,7 +141,7 @@ def semidirect_cyclic(n: int, m: int, k: int | None = None, *,
     """
     if n < 2 or m < 1:
         raise ValueError(f"invalid semidirect parameters n={n}, m={m}")
-    _check_order(name or f"Z{n}:Z{m}", n * m, limits)
+    _check_order(name or f"Z{n}:Z{m}", n * m, n, limits)
     if k is None:
         k = _least_multiplier(n, m)
     if gcd(k, n) != 1:
@@ -158,7 +162,7 @@ def dicyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """
     if n < 2:
         raise ValueError(f"dicyclic parameter must be at least 2, got {n}")
-    _check_order(f"Dic{n}", 4 * n, limits)
+    _check_order(f"Dic{n}", 4 * n, 4 * n, limits)
     m = 2 * n
     x_images = [(a + 1) % m for a in range(m)] + [m + (a - 1) % m for a in range(m)]
     y_images = [m + a for a in range(m)] + [(a + n) % m for a in range(m)]

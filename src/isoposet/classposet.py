@@ -107,16 +107,14 @@ def build_iso_poset(
     k = len(classes)
 
     class_bits = []
-    union_contains = []
+    union_supersets = []  # the subgroups that contain some member of the class
     for members, _, _ in classes:
-        bits = 0
+        bits = over = 0
         for s in members:
             bits |= 1 << s
+            over |= lattice.supersets[s]
         class_bits.append(bits)
-        cont = 0
-        for s in members:
-            cont |= lattice.contains_masks[s]
-        union_contains.append(cont)
+        union_supersets.append(over)
 
     nodes = []
     for node_id, (members, fp, rep_idx) in enumerate(classes):
@@ -145,7 +143,7 @@ def build_iso_poset(
     if nodes[top].order != group.order or nodes[bottom].order != 1:
         raise RuntimeError("class poset lost its top or bottom node")
     poset = Poset.from_relation(
-        k, [(i, j) for j in range(k) for i in range(k) if union_contains[j] & class_bits[i]]
+        k, [(i, j) for j in range(k) for i in range(k) if union_supersets[i] & class_bits[j]]
     )
     if not all(poset.leq(bottom, j) and poset.leq(j, top) for j in range(k)):
         raise RuntimeError("class poset order relation is inconsistent")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .catalog import group_from_name
 from .classposet import build_iso_poset, maximal_nontop_classes
@@ -138,8 +138,10 @@ def _cmd_group(args) -> int:
 def _cmd_poset_iso(args) -> int:
     group_a = group_from_name(args.spec_a, limits=args.caps)
     group_b = group_from_name(args.spec_b, limits=args.caps)
-    poset_a = build_iso_poset(group_a, limits=args.caps, cache_dir=args.cache_dir)
-    poset_b = build_iso_poset(group_b, limits=args.caps, cache_dir=args.cache_dir)
+    poset_a = build_iso_poset(group_a, limits=args.caps, cache_dir=args.cache_dir,
+                              recognize=False)
+    poset_b = build_iso_poset(group_b, limits=args.caps, cache_dir=args.cache_dir,
+                              recognize=False)
     witness = find_poset_isomorphism(poset_a.to_poset(), poset_b.to_poset(),
                                      limits=args.caps)
     digests = [canonical_hash(poset_a.to_poset(), limits=args.caps),
@@ -210,7 +212,7 @@ def _cmd_scan(args) -> int:
         return 2
     report = scan(orders, limits=args.caps, cache_dir=args.cache_dir)
     if args.format == "json":
-        print(to_json(report_dict(scan=report.as_dict())), end="")
+        print(to_json(report_dict(scan=asdict(report))), end="")
     else:
         for entry in report.entries:
             if entry.error:

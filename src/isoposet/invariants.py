@@ -25,17 +25,6 @@ class Fingerprint:
     derived_size: int
     class_sizes: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "abelian": self.abelian,
-            "exponent": self.exponent,
-            "order_histogram": [list(pair) for pair in self.order_histogram],
-            "center_size": self.center_size,
-            "derived_size": self.derived_size,
-            "class_sizes": list(self.class_sizes),
-        }
-
 
 def _orbits(points: Iterable[int], maps: Sequence) -> list[tuple[int, ...]]:
     """Orbits of ``points`` under the index maps, as sorted index tuples

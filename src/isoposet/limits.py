@@ -18,7 +18,7 @@ class Limits:
     enum_cap      largest order accepted by complete subgroup enumeration
     iso_cap       largest order accepted by the group-isomorphism search
     poset_cap     largest node count accepted by the poset-isomorphism search
-    degree_cap    largest permutation degree a product construction may reach
+    degree_cap    largest permutation degree a named group or product may reach
     """
 
     element_cap: int = 10_000

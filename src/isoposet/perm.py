@@ -1,8 +1,10 @@
 """Permutations on finite point sets and closure-enumerated finite groups.
 
-Composition convention, fixed project-wide: ``compose(p, q)`` applies p
-first, then q, i.e. ``compose(p, q)(x) == q(p(x))``.  Group multiplication,
-Cayley tables and the BFS element order all follow this convention.
+Multiplication convention, fixed project-wide: ``rows[i][j]`` of a group is
+the index of elements[i] * elements[j], which applies elements[i] first,
+then elements[j], so it maps x to elements[j](elements[i](x)).  Cayley
+tables, generator moves and the BFS element order all follow this
+convention.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ class Permutation:
         return self.images[x]
 
     @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
-
-    @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
         """Build a permutation from disjoint cycles; unmentioned points are fixed."""
         images = list(range(degree))
@@ -61,14 +59,8 @@ class Permutation:
                 images[a] = b
         return cls(tuple(images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(tuple(inv))
-
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycle decomposition, each cycle led by its least point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles of length above 1, each led by its least point."""
         out = []
         seen = [False] * len(self.images)
         for start in range(len(self.images)):
@@ -81,12 +73,9 @@ class Permutation:
                 cycle.append(x)
                 seen[x] = True
                 x = self.images[x]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def __str__(self) -> str:
         cycles = self.cycles()
@@ -108,13 +97,6 @@ def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) == 1:
         return b  # itemgetter of one index returns the item, not a tuple
     return itemgetter(*a)(b)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply p first, then q: the result maps x to q(p(x))."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    return Permutation(_product(p.images, q.images))
 
 
 class _ProductRows:

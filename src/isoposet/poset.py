@@ -293,15 +293,6 @@ def find_poset_isomorphism(
     return tuple(mapping)
 
 
-def are_posets_isomorphic(
-    p: Poset,
-    q: Poset,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> bool:
-    return find_poset_isomorphism(p, q, limits=limits) is not None
-
-
 def canonical_form(poset: Poset, *, limits: Limits = DEFAULT_LIMITS) -> tuple:
     """A relabeling-invariant form that determines the poset up to isomorphism."""
     if poset.n > limits.poset_cap:

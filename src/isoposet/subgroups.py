@@ -165,24 +165,20 @@ def coset_action(group: FiniteGroup, normal: Subgroup, *,
 class SubgroupLattice:
     """Every subgroup of a group, with containment and maximality data.
 
-    ``contains_masks[i]`` has bit j set iff subgroups[j] is a subset of
-    subgroups[i]; ``maximal_flags[i]`` is True iff the only strict
-    over-subgroup of i is the whole group; ``class_of[i]`` is the id of
-    the conjugacy class of subgroups[i], numbered by least member index.
+    ``supersets[j]`` has bit i set iff subgroups[i] contains subgroups[j];
+    ``maximal_flags[i]`` is True iff the only strict over-subgroup of i is
+    the whole group; ``class_of[i]`` is the id of the conjugacy class of
+    subgroups[i], numbered by least member index.
     """
 
     parent: FiniteGroup
     subgroups: tuple[Subgroup, ...]
-    contains_masks: tuple[int, ...]
+    supersets: tuple[int, ...]
     maximal_flags: tuple[bool, ...]
     class_of: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.subgroups)
-
-    def contains(self, i: int, j: int) -> bool:
-        """True iff subgroups[j] is a subset of subgroups[i]."""
-        return bool(self.contains_masks[i] >> j & 1)
 
 
 _Orbit = list[tuple[tuple[int, ...], tuple[int, ...]]]  # (members, generators), representative first
@@ -208,20 +204,14 @@ def _finish_lattice(group: FiniteGroup, orbits: list[_Orbit]) -> SubgroupLattice
         for x in sub.members:
             holding[x] |= bit
     supersets = []  # supersets[j]: the subgroups that contain subgroups[j]
-    contains_masks = [0] * k  # its transpose
-    for j, sub in enumerate(subs):
+    for sub in subs:
         over = (1 << k) - 1
         for g in sub.gens:
             over &= holding[g]
         supersets.append(over)
-        bit = 1 << j
-        while over:
-            low = over & -over
-            contains_masks[low.bit_length() - 1] |= bit
-            over ^= low
     full = k - 1
     flags = tuple(i != full and supersets[i] == 1 << i | 1 << full for i in range(k))
-    return SubgroupLattice(group, subs, tuple(contains_masks), flags, class_of)
+    return SubgroupLattice(group, subs, tuple(supersets), flags, class_of)
 
 
 def _mask(members: Iterable[int]) -> int:
@@ -448,8 +438,7 @@ def _every_group_cyclic(n: int) -> bool:
 
 def has_subgroup_of_order(group: FiniteGroup, m: int, *,
                           limits: Limits = DEFAULT_LIMITS,
-                          lattice: SubgroupLattice | None = None,
-                          cache_dir: str | os.PathLike | None = None) -> bool:
+                          lattice: SubgroupLattice | None = None) -> bool:
     """Whether the group has a subgroup of order m.
 
     Uses the lattice when available or enumerable; for orders at which every
@@ -470,7 +459,7 @@ def has_subgroup_of_order(group: FiniteGroup, m: int, *,
     if _every_group_cyclic(m):
         return m in group.element_orders
     if group.order <= limits.enum_cap:
-        lattice = all_subgroups(group, limits=limits, cache_dir=cache_dir)
+        lattice = all_subgroups(group, limits=limits)
         return any(s.order == m for s in lattice.subgroups)
     raise ResourceLimitError(
         f"group order {group.order} exceeds enumeration cap {limits.enum_cap} "

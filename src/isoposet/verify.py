@@ -199,7 +199,7 @@ def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
 
     def claim_not_solvable():
         series = [s.order for s in derived_series(group)]
-        return _decide(not is_solvable(group), {"derived_series_orders": series})
+        return _decide(series[-1] != 1, {"derived_series_orders": series})
 
     def claim_catalog_unique():
         cat = catalog_for_order(60)
@@ -361,8 +361,8 @@ def verify_lemma(group_a: FiniteGroup, group_b: FiniteGroup, *,
     @cache
     def posets():
         return (
-            build_iso_poset(group_a, limits=limits, cache_dir=cache_dir),
-            build_iso_poset(group_b, limits=limits, cache_dir=cache_dir),
+            build_iso_poset(group_a, limits=limits, cache_dir=cache_dir, recognize=False),
+            build_iso_poset(group_b, limits=limits, cache_dir=cache_dir, recognize=False),
         )
 
     @cache
@@ -439,28 +439,12 @@ class ScanEntry:
     nodes: int | None = None
     error: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "order": self.order,
-            "digest": self.digest,
-            "nodes": self.nodes,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class ScanReport:
     orders: tuple[int, ...]
     entries: tuple[ScanEntry, ...]
     collisions: tuple[dict, ...] = field(default_factory=tuple)
-
-    def as_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "entries": [e.as_dict() for e in self.entries],
-            "collisions": list(self.collisions),
-        }
 
 
 def scan(orders: list[int], *, limits: Limits = DEFAULT_LIMITS,

@@ -1,7 +1,9 @@
 """Brute-force reference implementations the fast paths are checked against.
 
-These stay deliberately independent of the library's search code: the group
-oracle enumerates order-respecting bijections outright, the poset oracle
+These stay deliberately independent of the library's search code: the
+permutation oracles compose, invert and order one permutation at a time,
+point by point and cycle by cycle, with no group; the group oracle
+enumerates order-respecting bijections outright, the poset oracle
 enumerates all node bijections, the subgroup oracle closes every small
 element subset, the conjugacy oracles conjugate by every element, the
 containment oracle tests every pair of member sets, the coset oracle
@@ -20,6 +22,7 @@ normal subgroup rebuilt as a group and on the quotient, with the library's
 from __future__ import annotations
 
 import itertools
+import math
 
 from isoposet import (
     DEFAULT_LIMITS,
@@ -34,6 +37,29 @@ from isoposet import (
     normal_subgroups,
     refine,
 )
+
+
+def oracle_identity(degree: int) -> Permutation:
+    return Permutation(tuple(range(degree)))
+
+
+def oracle_compose(p: Permutation, q: Permutation) -> Permutation:
+    """Apply p first, then q: the result maps x to q(p(x))."""
+    if p.degree != q.degree:
+        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
+    return Permutation(tuple([q.images[y] for y in p.images]))
+
+
+def oracle_inverse(p: Permutation) -> Permutation:
+    inv = [0] * p.degree
+    for x, y in enumerate(p.images):
+        inv[y] = x
+    return Permutation(tuple(inv))
+
+
+def oracle_order(p: Permutation) -> int:
+    """The lcm of its cycle lengths."""
+    return math.lcm(*(len(c) for c in p.cycles()))
 
 
 def oracle_group_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
@@ -176,15 +202,15 @@ def oracle_element_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def oracle_containment(lattice) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """``contains_masks`` and ``maximal_flags`` of a lattice, by testing
-    every pair of member sets."""
+    """``supersets`` and ``maximal_flags`` of a lattice, by testing every
+    pair of member sets."""
     sets = [frozenset(s.members) for s in lattice.subgroups]
     whole = frozenset(range(lattice.parent.order))
-    contains = tuple(sum(1 << j for j, inner in enumerate(sets) if inner <= outer)
-                     for outer in sets)
+    supersets = tuple(sum(1 << i for i, outer in enumerate(sets) if inner <= outer)
+                      for inner in sets)
     maximal = tuple(s != whole and all(t in (s, whole) for t in sets if s <= t)
                     for s in sets)
-    return contains, maximal
+    return supersets, maximal
 
 
 def oracle_classify(group: FiniteGroup, lattice) -> list[tuple[tuple[int, ...], object, int]]:

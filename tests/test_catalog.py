@@ -28,7 +28,7 @@ from isoposet import (
 )
 from isoposet.catalog import catalog_specs
 
-from oracles import oracle_direct_product
+from oracles import oracle_direct_product, oracle_identity
 
 
 @pytest.mark.parametrize("builder,arg,expected", [
@@ -152,7 +152,7 @@ def test_catalog_product_equals_closure(spec):
 
 def _repeated_identity_z3():
     c = Permutation.from_cycles(3, (0, 1, 2))
-    ident = Permutation.identity(3)
+    ident = oracle_identity(3)
     return closure(3, [ident, c, ident, c], name="Z3")
 
 
@@ -205,6 +205,20 @@ def test_moves_are_the_table_columns():
         else:  # A5xA5
             for move, g in zip(group.moves, gens):
                 assert move == tuple(group.mult(a, g) for a in range(group.order))
+
+
+def test_named_groups_respect_the_degree_cap(call_counter):
+    # each refused before a permutation of it is built: Z11, D22 and Z11:Z5
+    # act on 11 points and Dic3 on 12
+    closures = call_counter(isoposet.catalog, "closure")
+    small = Limits(degree_cap=10)
+    for build in (lambda: cyclic(11, limits=small), lambda: dihedral(22, limits=small),
+                  lambda: dicyclic(3, limits=small),
+                  lambda: semidirect_cyclic(11, 5, limits=small)):
+        with pytest.raises(ResourceLimitError, match="degree cap 10"):
+            build()
+    assert closures["closure"] == 0
+    assert cyclic(10, limits=small).degree == 10
 
 
 def test_direct_product_respects_caps():

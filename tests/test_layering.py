@@ -1,7 +1,8 @@
 """Layering: only ``FiniteGroup.rows`` chooses between a group with a
 Cayley table and one without; every other function reads products
 through it.  Subgroups are read in their parent: only the remark rebuilds
-one as a group of its own."""
+one as a group of its own.  Every public function has a caller in the
+library or the benchmark, bar a few named ones."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import isoposet
 
 MODULES = sorted(Path(isoposet.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
 # (module, enclosing function) outside perm: the keyword that hands a
 # product its table
@@ -70,3 +72,31 @@ def test_only_the_remark_rebuilds_a_subgroup():
     # A5xA5 has no table, so the remark compares its two copies of A5
     # rebuilt with tables of their own (see ROADMAP item 10)
     assert set().union(*map(_as_group_calls, MODULES)) == {("verify", "verify_remark")}
+
+
+# public functions that only tests call, each kept for its reason
+UNCALLED = {
+    "conjugacy_classes": "the only public path to a group's element classes",
+    "conjugate_subgroup": "the only public path to one conjugate of a subgroup",
+    "subgroup_from_members": "the only public path from a closed member set to a subgroup",
+    "catalog_specs": "the only public path to every curated spec at once",
+}
+
+
+def test_every_public_function_has_a_caller():
+    assert len(BENCH) > 1  # run from the source tree, beside the benchmark
+    used = set()
+    for path in [p for p in MODULES if p.stem != "__init__"] + BENCH:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = {
+        node.name
+        for path in MODULES
+        for node in ast.parse(path.read_text("utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in used
+    }
+    assert uncalled == set(UNCALLED)

@@ -15,7 +15,6 @@ from isoposet import (
     Limits,
     Poset,
     ResourceLimitError,
-    are_posets_isomorphic,
     canonical_form,
     canonical_hash,
     find_poset_isomorphism,
@@ -143,11 +142,11 @@ def test_refine_diamond_middles_share_color():
 
 def test_iso_reflexive():
     for p in (CHAIN3, ANTICHAIN3, DIAMOND):
-        assert are_posets_isomorphic(p, p)
+        assert find_poset_isomorphism(p, p) is not None
 
 
 def test_iso_rejects_different_sizes():
-    assert not are_posets_isomorphic(CHAIN3, DIAMOND)
+    assert find_poset_isomorphism(CHAIN3, DIAMOND) is None
 
 
 def test_iso_on_relabeled_poset():
@@ -176,7 +175,7 @@ def test_searches_leave_recursion_limit_alone(monkeypatch):
 
 def test_poset_cap():
     with pytest.raises(ResourceLimitError):
-        are_posets_isomorphic(DIAMOND, DIAMOND, limits=Limits(poset_cap=3))
+        find_poset_isomorphism(DIAMOND, DIAMOND, limits=Limits(poset_cap=3))
     with pytest.raises(ResourceLimitError):
         canonical_hash(DIAMOND, limits=Limits(poset_cap=3))
 
@@ -185,7 +184,7 @@ def test_poset_cap():
 def test_matches_bruteforce_oracle_random_pairs(seed_a, seed_b):
     p, q = random_poset(seed_a), random_poset(seed_b)
     expected = oracle_poset_isomorphic(p, q)
-    assert are_posets_isomorphic(p, q) is expected
+    assert (find_poset_isomorphism(p, q) is not None) is expected
     assert (canonical_hash(p) == canonical_hash(q)) is expected
 
 
@@ -197,7 +196,7 @@ def test_matches_bruteforce_oracle_relabeled(seed):
     rng.shuffle(perm)
     q = relabeled(p, perm)
     assert oracle_poset_isomorphic(p, q)
-    assert are_posets_isomorphic(p, q)
+    assert find_poset_isomorphism(p, q) is not None
     assert canonical_hash(p) == canonical_hash(q)
 
 
@@ -206,7 +205,7 @@ def test_named_poset_pairs_against_oracle():
               Poset(5, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))),
               Poset(5, ((0, 1), (1, 2), (2, 3), (3, 4)))]
     for p, q in itertools.combinations(corpus, 2):
-        assert are_posets_isomorphic(p, q) is oracle_poset_isomorphic(p, q)
+        assert (find_poset_isomorphism(p, q) is not None) is oracle_poset_isomorphic(p, q)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -229,7 +228,7 @@ def test_backtracking_separates_refinement_equivalent_crowns():
     cycle, blocks = crown(4), CROWN_BLOCKS
     assert sorted(refine(cycle)) == sorted(refine(blocks))
     assert not oracle_poset_isomorphic(cycle, blocks)
-    assert not are_posets_isomorphic(cycle, blocks)
+    assert find_poset_isomorphism(cycle, blocks) is None
     assert canonical_hash(cycle) != canonical_hash(blocks)
 
 

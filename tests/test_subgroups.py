@@ -160,21 +160,24 @@ def test_as_group_without_parent_table_orders_only_its_elements(call_counter):
     # to realize a 60-element subgroup, and no permutation is rebuilt
     _, _, left = _a5_squared_copies()
     expected = sorted(alternating(5).element_orders)
-    orders = call_counter(Permutation, "order")
+    walks = call_counter(perm, "_power_walk", key=lambda rows, n: n)
     built = call_counter(Permutation, "__post_init__")
     realized = left.as_group()
     assert sorted(realized.element_orders) == expected
-    assert orders["order"] <= 60
+    assert walks == {60: 1}
     assert built["__post_init__"] == 0
 
 
-def test_invariants_without_parent_table_order_only_the_members(call_counter):
-    # the left A5 of A5xA5 fingerprinted in its tableless parent: as in
-    # realizing it, only its own 60 elements are ordered
-    _, _, left = _a5_squared_copies()
-    orders = call_counter(Permutation, "order")
-    assert invariants(left.parent, left.members, left.gens) == fingerprint(alternating(5))
-    assert orders["order"] <= 60
+def test_invariants_without_parent_table_walk_the_parent_powers_once(call_counter):
+    # the left A5 of A5xA5 fingerprinted in its tableless parent reads its
+    # element orders from the parent's one walk of all 3600 elements, and
+    # a second subgroup reads the same walk
+    product, diagonal, left = _a5_squared_copies()
+    expected = fingerprint(alternating(5))
+    walks = call_counter(perm, "_power_walk", key=lambda rows, n: n)
+    assert invariants(product, left.members, left.gens) == expected
+    assert invariants(product, diagonal.members, diagonal.gens) == expected
+    assert walks == {3600: 1}
 
 
 def test_enumeration_work_count_psl27(call_counter):
@@ -285,14 +288,18 @@ def test_lagrange_for_every_subgroup():
 def test_containment_is_a_partial_order(a5_lattice):
     lat = a5_lattice
     k = len(lat)
+
+    def contains(i, j):
+        return bool(lat.supersets[j] >> i & 1)
+
     for i in range(k):
-        assert lat.contains(i, i)
+        assert contains(i, i)
         for j in range(k):
-            if i != j and lat.contains(i, j) and lat.contains(j, i):
+            if i != j and contains(i, j) and contains(j, i):
                 pytest.fail("containment not antisymmetric")
             for m in range(k):
-                if lat.contains(i, j) and lat.contains(j, m):
-                    assert lat.contains(i, m)
+                if contains(i, j) and contains(j, m):
+                    assert contains(i, m)
 
 
 def test_containment_matches_pairwise_oracle(tmp_path, call_counter):
@@ -305,8 +312,8 @@ def test_containment_matches_pairwise_oracle(tmp_path, call_counter):
         group = spec.build()
         for lattice in (all_subgroups(group, cache_dir=tmp_path),
                         all_subgroups(group, cache_dir=tmp_path)):
-            contains, maximal = oracle_containment(lattice)
-            assert lattice.contains_masks == contains, spec.name
+            supersets, maximal = oracle_containment(lattice)
+            assert lattice.supersets == supersets, spec.name
             assert lattice.maximal_flags == maximal, spec.name
     assert enumerations["_enumerate_subgroups"] == len(specs)  # each loaded once
 

@@ -7,6 +7,7 @@ import pytest
 from isoposet import (
     build_iso_poset,
     catalog_for_order,
+    classposet,
     composition_factors,
     cyclic,
     group_from_name,
@@ -102,6 +103,26 @@ def test_composition_factors_realize_no_subgroup(call_counter):
     for name in ("S5", "A5xZ2", "SL(2,5)"):
         assert sorted(fp.order for fp in composition_factors(group_from_name(name))) == [2, 60]
     assert calls["as_group"] == 0
+
+
+def test_lemma_and_poset_iso_recognize_no_class(cache_dir, call_counter, capsys):
+    # no lemma evidence and no poset-iso output holds a class label, so
+    # neither searches the catalog for one
+    calls = call_counter(classposet, "find_isomorphism")
+    claims = verify_lemma(group_from_name("S4"), group_from_name("Z24"), cache_dir=cache_dir)
+    assert [c.status for c in claims] == [SKIPPED] * 4
+    assert main(["poset-iso", "S4", "Z24", "--cache-dir", cache_dir]) == 0
+    assert "posets not isomorphic" in capsys.readouterr().out
+    assert calls["find_isomorphism"] == 0
+
+
+def test_not_solvable_reads_the_series_it_reports(cache_dir, call_counter):
+    # one series on PSL(2,5), whether read through verify or subgroups
+    counters = [call_counter(module, "derived_series", key=lambda group: group.name)
+                for module in (verify, subgroups)]
+    by_id = {c.claim_id: c for c in verify_psl25(cache_dir=cache_dir)}
+    assert by_id["psl25.not-solvable"].evidence == {"derived_series_orders": [60]}
+    assert sum(calls["PSL(2,5)"] for calls in counters) == 1
 
 
 def test_scan_realizes_no_subgroup(cache_dir, call_counter):
@@ -235,8 +256,8 @@ def test_report_json_deterministic(cache_dir):
 
 
 def test_scan_json_deterministic(cache_dir):
-    first = to_json(report_dict(scan=scan([6, 15], cache_dir=cache_dir).as_dict()))
-    second = to_json(report_dict(scan=scan([6, 15], cache_dir=cache_dir).as_dict()))
+    first = to_json(report_dict(scan=dataclasses.asdict(scan([6, 15], cache_dir=cache_dir))))
+    second = to_json(report_dict(scan=dataclasses.asdict(scan([6, 15], cache_dir=cache_dir))))
     assert first == second
 
 
@@ -411,6 +432,13 @@ def test_cli_oversized_group_names_exit_2(name):
     proc = _run_cli_child(["group", name, "info"])
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("resource limit:") and "element cap 10000" in proc.stderr
+
+
+def test_cli_named_group_past_the_degree_cap_exits_2():
+    # Z2049 is within the element cap, but its generator acts on 2049 points
+    proc = _run_cli_child(["group", "Z2049", "info"])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("resource limit:") and "degree cap 2048" in proc.stderr
 
 
 def test_cli_long_product_chain_of_trivial_groups():
