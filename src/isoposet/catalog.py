@@ -2,6 +2,8 @@
 
 Every named construction is deterministic: rebuilding a group from its name
 yields bit-identical generators, hence an identical element enumeration.
+Each constructor checks the order and degree its parameters give against
+the caps, order first, before it builds a permutation.
 """
 
 from __future__ import annotations
@@ -14,20 +16,8 @@ from importlib import resources
 from math import factorial, gcd
 from typing import Iterator
 
-from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .limits import DEFAULT_LIMITS, Limits
 from .perm import FiniteGroup, Permutation, _unchecked, closure, closure_walk
-
-
-def _check_order(name: str, order: int, degree: int, limits: Limits) -> None:
-    """Refuse a group whose order or permutation degree, known from its
-    parameters, is past ``element_cap`` or ``degree_cap``, before a
-    permutation of it is built.  The order is checked first."""
-    if order > limits.element_cap:
-        cap = limits.element_cap
-        raise ResourceLimitError(f"{name} has more than {cap} elements (element cap {cap})")
-    if degree > limits.degree_cap:
-        cap = limits.degree_cap
-        raise ResourceLimitError(f"{name} acts on {degree} points (degree cap {cap})")
 
 
 def _factorial_within(n: int, bound: int) -> int:
@@ -40,7 +30,7 @@ def cyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Cyclic group of order n as the n-cycle on n points."""
     if n < 1:
         raise ValueError(f"cyclic order must be positive, got {n}")
-    _check_order(f"Z{n}", n, n, limits)
+    limits.check(f"Z{n}", element_cap=n, degree_cap=n)
     if n == 1:
         return closure(1, [], limits=limits, name="Z1")
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
@@ -51,7 +41,7 @@ def dihedral(order: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Dihedral group of the given order (order = 2n, n >= 3) on n points."""
     if order < 6 or order % 2:
         raise ValueError(f"dihedral order must be an even number >= 6, got {order}")
-    _check_order(f"D{order}", order, order // 2, limits)
+    limits.check(f"D{order}", element_cap=order, degree_cap=order // 2)
     n = order // 2
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
     flip = Permutation(tuple((-i) % n for i in range(n)))
@@ -62,7 +52,7 @@ def symmetric(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Symmetric group on n points."""
     if n < 1:
         raise ValueError(f"symmetric degree must be positive, got {n}")
-    _check_order(f"S{n}", _factorial_within(n, limits.element_cap), n, limits)
+    limits.check(f"S{n}", element_cap=_factorial_within(n, limits.element_cap), degree_cap=n)
     if n == 1:
         return closure(1, [], limits=limits, name="S1")
     gens = [Permutation.from_cycles(n, (0, 1))]
@@ -75,7 +65,8 @@ def alternating(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Alternating group on n points, n >= 3."""
     if n < 3:
         raise ValueError(f"alternating degree must be at least 3, got {n}")
-    _check_order(f"A{n}", _factorial_within(n, 2 * limits.element_cap) // 2, n, limits)
+    limits.check(f"A{n}", element_cap=_factorial_within(n, 2 * limits.element_cap) // 2,
+                 degree_cap=n)
     gens = [Permutation.from_cycles(n, (0, 1, 2))]
     if n > 3:
         if n % 2:
@@ -141,7 +132,7 @@ def semidirect_cyclic(n: int, m: int, k: int | None = None, *,
     """
     if n < 2 or m < 1:
         raise ValueError(f"invalid semidirect parameters n={n}, m={m}")
-    _check_order(name or f"Z{n}:Z{m}", n * m, n, limits)
+    limits.check(name or f"Z{n}:Z{m}", element_cap=n * m, degree_cap=n)
     if k is None:
         k = _least_multiplier(n, m)
     if gcd(k, n) != 1:
@@ -162,7 +153,7 @@ def dicyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """
     if n < 2:
         raise ValueError(f"dicyclic parameter must be at least 2, got {n}")
-    _check_order(f"Dic{n}", 4 * n, 4 * n, limits)
+    limits.check(f"Dic{n}", element_cap=4 * n, degree_cap=4 * n)
     m = 2 * n
     x_images = [(a + 1) % m for a in range(m)] + [m + (a - 1) % m for a in range(m)]
     y_images = [m + a for a in range(m)] + [(a + n) % m for a in range(m)]
@@ -198,21 +189,14 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, limits: Limits = DEFAULT_L
     factor's generator moves, and an element is its factors' images
     joined, so the walk makes no permutation product.
     """
+    if name is None and g.name and h.name:
+        name = f"{g.name}x{h.name}"
     degree = g.degree + h.degree
-    if degree > limits.degree_cap:
-        raise ResourceLimitError(
-            f"combined degree {degree} exceeds degree cap {limits.degree_cap}"
-        )
-    if g.order * h.order > limits.element_cap:
-        raise ResourceLimitError(
-            f"product order {g.order * h.order} exceeds element cap {limits.element_cap}"
-        )
+    limits.check(name or "product", element_cap=g.order * h.order, degree_cap=degree)
     id_h = tuple(range(g.degree, degree))
     id_g = tuple(range(g.degree))
     gens = [Permutation(p.images + id_h) for p in g.generators]
     gens += [Permutation(id_g + tuple(x + g.degree for x in p.images)) for p in h.generators]
-    if name is None and g.name and h.name:
-        name = f"{g.name}x{h.name}"
     keys, table, moves = closure_walk(0, _product_steps(g, h), _step, limits=limits)
     left = [p.images for p in g.elements]
     right = [tuple([x + g.degree for x in p.images]) for p in h.elements]

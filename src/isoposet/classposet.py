@@ -65,10 +65,11 @@ class IsoPoset:
 
 
 @lru_cache(maxsize=None)
-def _recognition_candidates(order: int) -> tuple[tuple[str, FiniteGroup, Fingerprint], ...]:
+def _recognition_candidates(order: int, limits: Limits,
+                            ) -> tuple[tuple[str, FiniteGroup, Fingerprint], ...]:
     out = []
     for spec in catalog_for_order(order).specs:
-        group = spec.build()
+        group = spec.build(limits=limits)
         out.append((spec.name, group, fingerprint(group)))
     return tuple(out)
 
@@ -80,7 +81,7 @@ def _label_for(fp: Fingerprint, rep: Subgroup, node_id: int, *,
     if recognize and dict(fp.order_histogram).get(fp.order):  # an element of full order: cyclic
         return f"Z{fp.order}"
     if recognize and fp.order <= limits.iso_cap:
-        for name, group, cfp in _recognition_candidates(fp.order):
+        for name, group, cfp in _recognition_candidates(fp.order, limits):
             if cfp == fp and find_isomorphism(group, rep, limits=limits, fg=cfp, fh=fp):
                 return name
     return f"G{fp.order}.{node_id}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .invariants import Fingerprint, _class_orbits, _invariants
-from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .limits import DEFAULT_LIMITS, Limits
 from .perm import FiniteGroup
 from .subgroups import Subgroup, SubgroupLattice, _view
 
@@ -92,21 +92,17 @@ def find_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup, *,
                      limits: Limits = DEFAULT_LIMITS,
                      fg: Fingerprint | None = None,
                      fh: Fingerprint | None = None) -> GroupIso | None:
-    """An isomorphism from g onto h, or None when none exists."""
+    """An isomorphism from g onto h, or None when none exists; sides of
+    different orders answer None before ``iso_cap`` is checked."""
     (gp, gm, ggens), (hp, hm, hgens) = _view(g), _view(h)
-    _check_iso_cap(max(len(gm), len(hm)), limits)
     if len(gm) != len(hm):
         return None
+    limits.check("group", iso_cap=len(gm))
     # each side's classes are walked once, for its fingerprint and its keys
     gclasses, hclasses = _class_orbits(gp, gm, ggens), _class_orbits(hp, hm, hgens)
     if (fg or _invariants(gp, ggens, gclasses)) != (fh or _invariants(hp, hgens, hclasses)):
         return None
     return _search_isomorphism(g, h, gclasses, hclasses)
-
-
-def _check_iso_cap(order: int, limits: Limits) -> None:
-    if order > limits.iso_cap:
-        raise ResourceLimitError(f"group order {order} exceeds isomorphism cap {limits.iso_cap}")
 
 
 def _search_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup,
@@ -186,7 +182,7 @@ def classify_with_data(
         for orbit in orbits:
             sub = lattice.subgroups[orbit[0]]
             for cls in classes:
-                _check_iso_cap(fp.order, limits)
+                limits.check("subgroup", iso_cap=fp.order)
                 if _search_isomorphism(lattice.subgroups[cls[0]], sub,
                                        walked[cls[0]], walked[orbit[0]]):
                     cls += orbit

@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, ClassVar, Hashable, Iterable, Sequence
 
-from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .limits import DEFAULT_LIMITS, Limits
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,7 +329,7 @@ class FiniteGroup:
 
 def closure_walk(identity: Hashable, gens: Iterable[Hashable],
                  mul: Callable[[Hashable, Hashable], Hashable], *,
-                 limits: Limits = DEFAULT_LIMITS,
+                 limits: Limits = DEFAULT_LIMITS, subject: str = "closure",
                  ) -> tuple[list, tuple[tuple[int, ...], ...] | None, tuple[tuple[int, ...], ...]]:
     """Breadth-first closure of ``gens`` under ``mul``: its keys in
     discovery order, its Cayley table, and its generator moves.
@@ -340,7 +340,8 @@ def closure_walk(identity: Hashable, gens: Iterable[Hashable],
     and keys that stand one-to-one for permutations give the order that
     :func:`closure` gives those permutations.  ``gens`` may be an
     iterator, so that the walk holds the only reference to each generator
-    and drops it on return.
+    and drops it on return.  Past ``element_cap`` it raises, naming
+    ``subject``.
 
     Within ``cayley_cap`` the Cayley table is built from columns already
     built: each element c other than the identity was first reached as
@@ -363,9 +364,7 @@ def closure_walk(identity: Hashable, gens: Iterable[Hashable],
             if ci is None:
                 ci = index[c] = len(elems)
                 if ci == cap:
-                    raise ResourceLimitError(
-                        f"closure reached more than {cap} elements (element cap {cap})"
-                    )
+                    limits.check(subject, element_cap=ci + 1)
                 elems.append(c)
             record(ci)
     for k, move in enumerate(right):  # one list at a time, so no two copies
@@ -395,17 +394,20 @@ def closure(
 
     Discovery order is breadth-first from the identity with generators
     applied in input order, so two runs with identical inputs produce
-    identical element orderings.  The Cayley table is built within
-    ``cayley_cap``.  Every element is a product of the checked generators,
-    so its image tuple is taken as a bijection without a second check.
+    identical element orderings.  A degree past ``degree_cap`` is refused
+    before the walk.  The Cayley table is built within ``cayley_cap``.
+    Every element is a product of the checked generators, so its image
+    tuple is taken as a bijection without a second check.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} does not match {degree}")
+    subject = name or "closure"
+    limits.check(subject, degree_cap=degree)
     elems, table, moves = closure_walk(tuple(range(degree)), [g.images for g in generators],
-                                       _product, limits=limits)
+                                       _product, limits=limits, subject=subject)
     return FiniteGroup(
         degree=degree,
         generators=tuple(generators),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .limits import DEFAULT_LIMITS, Limits
 
 
 @dataclass(frozen=True)
@@ -273,18 +273,14 @@ def find_poset_isomorphism(
 
     The posets are isomorphic exactly when their canonical forms agree, and
     then the k-th node of p's canonical placement maps to the k-th of q's.
+    Posets of different sizes answer None before ``poset_cap`` is checked.
     """
-    if max(p.n, q.n) > limits.poset_cap:
-        raise ResourceLimitError(
-            f"poset size {max(p.n, q.n)} exceeds poset cap {limits.poset_cap}"
-        )
     if p.n != q.n or len(p.hasse) != len(q.hasse):
         return None
-    (form_p, placed_p), (form_q, placed_q) = p._canonical_labeling, q._canonical_labeling
-    if form_p != form_q:
+    if canonical_form(p, limits=limits) != canonical_form(q, limits=limits):
         return None
     mapping = [0] * p.n
-    for x, y in zip(placed_p, placed_q):
+    for x, y in zip(p._canonical_labeling[1], q._canonical_labeling[1]):
         mapping[x] = y
     # re-verify the witness edge-by-edge in both directions
     image = {(mapping[a], mapping[b]) for a, b in p.hasse}
@@ -295,10 +291,7 @@ def find_poset_isomorphism(
 
 def canonical_form(poset: Poset, *, limits: Limits = DEFAULT_LIMITS) -> tuple:
     """A relabeling-invariant form that determines the poset up to isomorphism."""
-    if poset.n > limits.poset_cap:
-        raise ResourceLimitError(
-            f"poset size {poset.n} exceeds poset cap {limits.poset_cap}"
-        )
+    limits.check("poset", poset_cap=poset.n)
     return poset._canonical_labeling[0]
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .invariants import Fingerprint, _class_orbits, _orbits, derived_subgroup_indices, invariants
-from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .limits import DEFAULT_LIMITS, Limits
 from .perm import FiniteGroup, Permutation, closure
 
 
@@ -390,10 +390,7 @@ def _save_cached(group: FiniteGroup, orbits: list[_Orbit], path: Path) -> None:
 def all_subgroups(group: FiniteGroup, *, limits: Limits = DEFAULT_LIMITS,
                   cache_dir: str | os.PathLike | None = None) -> SubgroupLattice:
     """The complete subgroup lattice of a group within the enumeration cap."""
-    if group.order > limits.enum_cap:
-        raise ResourceLimitError(
-            f"group order {group.order} exceeds subgroup enumeration cap {limits.enum_cap}"
-        )
+    limits.check(group.name or "group", enum_cap=group.order)
     directory = _resolve_cache_dir(cache_dir)
     path = _cache_path(group, directory) if directory else None
     orbits = _load_cached(group, path) if path is not None and path.exists() else None
@@ -452,19 +449,13 @@ def has_subgroup_of_order(group: FiniteGroup, m: int, *,
         return True
     if group.order % m:
         return False
-    if lattice is not None:
-        if lattice.parent is not group:
-            raise ValueError("lattice does not belong to this group")
-        return any(s.order == m for s in lattice.subgroups)
-    if _every_group_cyclic(m):
-        return m in group.element_orders
-    if group.order <= limits.enum_cap:
+    if lattice is None:
+        if _every_group_cyclic(m):
+            return m in group.element_orders
         lattice = all_subgroups(group, limits=limits)
-        return any(s.order == m for s in lattice.subgroups)
-    raise ResourceLimitError(
-        f"group order {group.order} exceeds enumeration cap {limits.enum_cap} "
-        f"and order {m} has no element-order shortcut"
-    )
+    elif lattice.parent is not group:
+        raise ValueError("lattice does not belong to this group")
+    return any(s.order == m for s in lattice.subgroups)
 
 
 def normal_subgroups(side: FiniteGroup | Subgroup) -> list[Subgroup]:

@@ -134,31 +134,39 @@ def _max_class_summary(poset: IsoPoset) -> list[dict]:
 
 def _psl_common(q: int, shape: tuple[int, ...], maximal: list[str], *,
                 limits: Limits, cache_dir: str | os.PathLike | None):
-    """PSL(2,q) with its lattice and class poset, each built on first use,
-    and the results of its order-shape and maximal-classes claims.
+    """PSL(2,q), the groups of its maximal classes, its lattice and its
+    class poset, each built on first use, and the results of its
+    order-shape and maximal-classes claims.
 
     ``maximal`` names the groups of the maximal non-top classes, in
-    increasing order; they are returned built, in the same order.
+    increasing order; ``references()`` builds them in the same order.
     """
-    group = psl2(q, limits=limits)
-    references = [group_from_name(name, limits=limits) for name in maximal]
+
+    @cache
+    def group():
+        return psl2(q, limits=limits)
+
+    @cache
+    def references():
+        return [group_from_name(name, limits=limits) for name in maximal]
 
     @cache
     def lattice():
-        return all_subgroups(group, limits=limits, cache_dir=cache_dir)
+        return all_subgroups(group(), limits=limits, cache_dir=cache_dir)
 
     @cache
     def poset():
-        return build_iso_poset(group, lattice=lattice(), limits=limits)
+        return build_iso_poset(group(), lattice=lattice(), limits=limits)
 
     def claim_order_shape():
-        found = order_shape(group.order)
-        return _decide(found == shape, {"order": group.order, "shape": list(found)})
+        found = order_shape(group().order)
+        return _decide(found == shape, {"order": group().order, "shape": list(found)})
 
     def claim_maximal_classes():
         tops = sorted(maximal_nontop_classes(poset()), key=lambda n: n.order)
-        ok = ([n.order for n in tops] == [r.order for r in references]
-              and all(are_isomorphic(n.rep, r, limits=limits) for n, r in zip(tops, references)))
+        refs = references()
+        ok = ([n.order for n in tops] == [r.order for r in refs]
+              and all(are_isomorphic(n.rep, r, limits=limits) for n, r in zip(tops, refs)))
         return _decide(ok, {"classes": _max_class_summary(poset())})
 
     results = [
@@ -178,14 +186,14 @@ def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
         # every member of a class is isomorphic to its representative
         checked = {}
         ok = True
-        for reference in references:
+        for reference in references():
             fp = fingerprint(reference)
             copies = 0
             for node in poset().nodes:
                 if node.fp == fp and find_isomorphism(reference, node.rep, limits=limits,
                                                       fg=fp, fh=fp) is not None:
                     copies += len(node.members)
-                    ok &= all(is_maximal(group, lattice().subgroups[i]) for i in node.members)
+                    ok &= all(is_maximal(group(), lattice().subgroups[i]) for i in node.members)
             checked[str(reference.order)] = copies
         return _decide(ok, {"copies_checked": checked})
 
@@ -194,11 +202,11 @@ def verify_psl25(*, limits: Limits = DEFAULT_LIMITS,
             lat = lattice()
         except ResourceLimitError:
             lat = None  # order 15 still decidable through the element-order shortcut
-        present = has_subgroup_of_order(group, 15, limits=limits, lattice=lat)
+        present = has_subgroup_of_order(group(), 15, limits=limits, lattice=lat)
         return _decide(not present, {"order": 15, "present": present})
 
     def claim_not_solvable():
-        series = [s.order for s in derived_series(group)]
+        series = [s.order for s in derived_series(group())]
         return _decide(series[-1] != 1, {"derived_series_orders": series})
 
     def claim_catalog_unique():
@@ -244,7 +252,7 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
         return built, all_subgroups(built, limits=limits, cache_dir=cache_dir)
 
     def claim_divisible_by_4():
-        orders = [group.order, psl2(5, limits=limits).order]
+        orders = [group().order, psl2(5, limits=limits).order]
         return _decide(all(n % 4 == 0 for n in orders), {"orders": orders})
 
     def claim_no_maximal_15():
@@ -268,7 +276,7 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
         return _decide(ok, evidence)
 
     def claim_composition_factors():
-        a5_fp = fingerprint(alternating(5))
+        a5_fp = fingerprint(alternating(5, limits=limits))
         evidence = {}
         ok = True
         for name in trio:
@@ -276,13 +284,13 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
             evidence[name] = {"factor_orders": sorted(fp.order for fp in factors)}
             if a5_fp not in factors:
                 ok = False
-        simple = is_simple(group)
+        simple = is_simple(group())
         evidence["PSL(2,7)"] = {"simple": simple}
         return _decide(ok and simple, evidence)
 
     def claim_hall_gap():
-        has_21 = has_subgroup_of_order(group, 21, limits=limits, lattice=lattice())
-        has_56 = has_subgroup_of_order(group, 56, limits=limits, lattice=lattice())
+        has_21 = has_subgroup_of_order(group(), 21, limits=limits, lattice=lattice())
+        has_56 = has_subgroup_of_order(group(), 56, limits=limits, lattice=lattice())
         evidence = {"order_21_subgroup": has_21, "order_56_subgroup": has_56}
         reason = (
             "the Hall-order step of the recognition argument names the missing "
@@ -302,27 +310,28 @@ def verify_psl27(*, limits: Limits = DEFAULT_LIMITS,
 
 def verify_remark(*, limits: Limits = DEFAULT_LIMITS,
                   cache_dir: str | os.PathLike | None = None) -> list[ClaimResult]:
-    a5 = alternating(5, limits=limits)
-    product = direct_product(a5, a5, limits=limits)
-    deg = a5.degree
+    @cache
+    def groups():
+        """A5, A5xA5, its diagonal and left copies of A5, and ``embed``,
+        the index in A5xA5 of a pair of A5's image tuples."""
+        a5 = alternating(5, limits=limits)
+        product = direct_product(a5, a5, limits=limits)
 
-    def embed(images_first: tuple[int, ...], images_second: tuple[int, ...]) -> int:
-        perm = Permutation(images_first + tuple(deg + x for x in images_second))
-        return product.index_of(perm)
+        def embed(first: tuple[int, ...], second: tuple[int, ...]) -> int:
+            return product.index_of(Permutation(first + tuple(a5.degree + x for x in second)))
 
-    ident = tuple(range(deg))
-    diagonal = subgroup_generated_by(
-        product, [embed(g.images, g.images) for g in a5.generators]
-    )
-    left_copy = subgroup_generated_by(
-        product, [embed(g.images, ident) for g in a5.generators]
-    )
+        ident = tuple(range(a5.degree))
+        diagonal = subgroup_generated_by(product, [embed(g.images, g.images) for g in a5.generators])
+        left_copy = subgroup_generated_by(product, [embed(g.images, ident) for g in a5.generators])
+        return a5, product, diagonal, left_copy, embed
 
     def claim_diagonal_maximal():
+        a5, product, diagonal, _, _ = groups()
         ok = diagonal.order == a5.order and is_maximal(product, diagonal)
         return _decide(ok, {"diagonal_order": diagonal.order, "index": product.order // diagonal.order})
 
     def claim_copy_isomorphic():
+        a5, _, diagonal, left_copy, _ = groups()
         standalone = left_copy.as_group(limits=limits)
         ok = are_isomorphic(
             standalone, diagonal.as_group(limits=limits), limits=limits,
@@ -330,6 +339,8 @@ def verify_remark(*, limits: Limits = DEFAULT_LIMITS,
         return _decide(ok, {"orders": [left_copy.order, diagonal.order]})
 
     def claim_copy_not_maximal():
+        a5, product, _, left_copy, embed = groups()
+        ident = tuple(range(a5.degree))
         not_maximal = not is_maximal(product, left_copy)
         involution = a5.element_orders.index(2)
         witness = subgroup_generated_by(
@@ -353,16 +364,18 @@ def verify_remark(*, limits: Limits = DEFAULT_LIMITS,
     ]
 
 
-def verify_lemma(group_a: FiniteGroup, group_b: FiniteGroup, *,
+def verify_lemma(group_a: FiniteGroup | str, group_b: FiniteGroup | str, *,
                  limits: Limits = DEFAULT_LIMITS,
                  cache_dir: str | os.PathLike | None = None) -> list[ClaimResult]:
-    """Check the order-isomorphism consequences on a concrete pair of groups."""
+    """Check the order-isomorphism consequences on a concrete pair of
+    groups; a group given by name is built under ``limits`` on first use."""
 
     @cache
     def posets():
-        return (
-            build_iso_poset(group_a, limits=limits, cache_dir=cache_dir, recognize=False),
-            build_iso_poset(group_b, limits=limits, cache_dir=cache_dir, recognize=False),
+        return tuple(
+            build_iso_poset(group_from_name(group, limits=limits) if isinstance(group, str)
+                            else group, limits=limits, cache_dir=cache_dir, recognize=False)
+            for group in (group_a, group_b)
         )
 
     @cache
@@ -513,10 +526,5 @@ def verify_all(*, limits: Limits = DEFAULT_LIMITS,
     results = verify_psl25(limits=limits, cache_dir=cache_dir)
     results += verify_psl27(limits=limits, cache_dir=cache_dir)
     results += verify_remark(limits=limits, cache_dir=cache_dir)
-    results += verify_lemma(
-        group_from_name("Z6", limits=limits),
-        group_from_name("Z15", limits=limits),
-        limits=limits,
-        cache_dir=cache_dir,
-    )
+    results += verify_lemma("Z6", "Z15", limits=limits, cache_dir=cache_dir)
     return results

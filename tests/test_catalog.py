@@ -12,8 +12,10 @@ from isoposet import (
     all_subgroups,
     alternating,
     are_isomorphic,
+    build_iso_poset,
     catalog_for_order,
     closure,
+    composition_factors,
     cyclic,
     dicyclic,
     dihedral,
@@ -23,7 +25,9 @@ from isoposet import (
     is_solvable,
     psl2,
     semidirect_cyclic,
+    sl2_5,
     spec_from_name,
+    subgroup_generated_by,
     symmetric,
 )
 from isoposet.catalog import catalog_specs
@@ -207,7 +211,7 @@ def test_moves_are_the_table_columns():
                 assert move == tuple(group.mult(a, g) for a in range(group.order))
 
 
-def test_named_groups_respect_the_degree_cap(call_counter):
+def test_named_groups_respect_the_degree_cap(call_counter, psl27, psl27_lattice):
     # each refused before a permutation of it is built: Z11, D22 and Z11:Z5
     # act on 11 points and Dic3 on 12
     closures = call_counter(isoposet.catalog, "closure")
@@ -219,6 +223,21 @@ def test_named_groups_respect_the_degree_cap(call_counter):
             build()
     assert closures["closure"] == 0
     assert cyclic(10, limits=small).degree == 10
+    # closure checks the degree itself, so no group is built past the cap:
+    # PSL(2,7) acts on 8 points and SL(2,5) on 24, a copy of A5 in A5xA5 on
+    # 10, A5xA5 over that copy on its 60 cosets, and recognizing PSL(2,7)'s
+    # classes builds Z12 on 12
+    product = direct_product(alternating(5), alternating(5))
+    left = subgroup_generated_by(product, product.generator_indices()[:2])
+    for build, cap in ((lambda limits: psl2(7, limits=limits), 7),
+                       (lambda limits: sl2_5(limits=limits), 23),
+                       (lambda limits: left.as_group(limits=limits), 5),
+                       (lambda limits: composition_factors(product, limits=limits), 50),
+                       (lambda limits: build_iso_poset(psl27, lattice=psl27_lattice,
+                                                       limits=limits), 8)):
+        with pytest.raises(ResourceLimitError, match=rf"\(degree cap {cap}\)$"):
+            build(Limits(degree_cap=cap))
+    assert psl2(7, limits=Limits(degree_cap=8)).degree == 8
 
 
 def test_direct_product_respects_caps():

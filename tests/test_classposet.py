@@ -86,7 +86,8 @@ def test_psl27_labels(psl27, psl27_lattice):
 def test_named_group_labels_its_top_class_without_recognition(call_counter):
     # the whole group's class takes the group's name; only an unnamed
     # group is recognized among the catalog groups of its order
-    calls = call_counter(classposet, "_recognition_candidates", key=lambda order: order)
+    calls = call_counter(classposet, "_recognition_candidates",
+                         key=lambda order, limits: order)
     group = psl2(5)
     assert build_iso_poset(group).nodes[-1].label == "PSL(2,5)"
     assert calls[60] == 0

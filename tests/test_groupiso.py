@@ -231,6 +231,12 @@ def test_isomorphism_cap(a5):
     assert are_isomorphic(cyclic(4), cyclic(4), limits=Limits(iso_cap=4))
 
 
+def test_different_orders_answer_before_the_isomorphism_cap():
+    # groups of different orders are not isomorphic, whatever the cap
+    assert find_isomorphism(cyclic(2), cyclic(500)) is None
+    assert find_isomorphism(cyclic(500), cyclic(2), limits=Limits(iso_cap=1)) is None
+
+
 ORACLE_PAIRS = [
     # order-class profiles small enough for the exhaustive bijection search
     ("Z6", "Z3xZ2", True),

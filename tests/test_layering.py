@@ -1,8 +1,9 @@
 """Layering: only ``FiniteGroup.rows`` chooses between a group with a
 Cayley table and one without; every other function reads products
 through it.  Subgroups are read in their parent: only the remark rebuilds
-one as a group of its own.  Every public function has a caller in the
-library or the benchmark, bar a few named ones."""
+one as a group of its own.  Only ``Limits.check`` raises a cap error.
+Every public function has a caller in the library or the benchmark, bar
+a few named ones."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,64 @@ def test_every_public_function_has_a_caller():
         and not node.name.startswith("_") and node.name not in used
     }
     assert uncalled == set(UNCALLED)
+
+
+# comparisons against a cap outside limits.py, each kept for its reason
+CAP_COMPARISONS = {
+    ("perm", "closure_walk", "cayley_cap"):
+        "chooses whether a group keeps its Cayley table; it refuses nothing",
+    ("perm", "closure_walk", "element_cap"):
+        "the walk's test runs once per element, and it asks Limits.check for the error",
+    ("classposet", "_label_for", "iso_cap"):
+        "past the cap a class keeps its G<order>.<id> label: labels are names, not claims",
+}
+
+
+def _cap_uses(stem: str, source: str) -> set[tuple[str, str, str]]:
+    """(module, enclosing function, cap) of every comparison against a
+    ``*_cap`` attribute, read directly or through a local name bound to
+    one, and (module, enclosing function, "ResourceLimitError") of every
+    construction of that error, in the module ``stem`` with ``source``."""
+    uses = set()
+
+    def is_cap(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr.endswith("_cap")
+
+    def visit(node: ast.AST, function: str, aliases: dict[str, str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+            aliases = aliases | {target.id: sub.value.attr for sub in ast.walk(node)
+                                 if isinstance(sub, ast.Assign) and is_cap(sub.value)
+                                 for target in sub.targets if isinstance(target, ast.Name)}
+        if isinstance(node, ast.Compare):
+            for side in [node.left, *node.comparators]:
+                if is_cap(side):
+                    uses.add((stem, function, side.attr))
+                elif isinstance(side, ast.Name) and side.id in aliases:
+                    uses.add((stem, function, aliases[side.id]))
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "ResourceLimitError":
+                uses.add((stem, function, "ResourceLimitError"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, aliases)
+
+    visit(ast.parse(source), "<module>", {})
+    return uses
+
+
+def test_cap_scan_sees_direct_and_aliased_comparisons():
+    source = (
+        "def f(group, limits):\n"
+        "    cap = limits.enum_cap\n"
+        "    if group.order > cap or limits.iso_cap < group.order:\n"
+        "        raise errors.ResourceLimitError('past a cap')\n"
+    )
+    assert _cap_uses("m", source) == {("m", "f", "enum_cap"), ("m", "f", "iso_cap"),
+                                      ("m", "f", "ResourceLimitError")}
+
+
+def test_only_limits_raises_a_cap_error():
+    uses = {p.stem: _cap_uses(p.stem, p.read_text("utf-8")) for p in MODULES}
+    assert uses["limits"] == {("limits", "check", "ResourceLimitError")}
+    assert set().union(*(found for stem, found in uses.items() if stem != "limits")) \
+        == set(CAP_COMPARISONS)

@@ -180,6 +180,12 @@ def test_poset_cap():
         canonical_hash(DIAMOND, limits=Limits(poset_cap=3))
 
 
+def test_different_sizes_answer_before_the_poset_cap():
+    # posets of different sizes are not isomorphic, whatever the cap
+    assert find_poset_isomorphism(Poset(1, ()), CHAIN3, limits=Limits(poset_cap=2)) is None
+    assert find_poset_isomorphism(CHAIN3, Poset(1, ()), limits=Limits(poset_cap=0)) is None
+
+
 @pytest.mark.parametrize("seed_a,seed_b", [(s, s + 50) for s in range(12)])
 def test_matches_bruteforce_oracle_random_pairs(seed_a, seed_b):
     p, q = random_poset(seed_a), random_poset(seed_b)

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from isoposet import (
+    Limits,
     build_iso_poset,
     catalog_for_order,
     classposet,
@@ -178,8 +179,6 @@ def test_verify_lemma_psl25_a5(cache_dir, psl25, a5):
 
 
 def test_verify_claims_skip_on_resource_errors():
-    from isoposet import Limits
-
     claims = verify_psl25(limits=Limits(enum_cap=30, iso_cap=30))
     by_id = {c.claim_id: c for c in claims}
     assert by_id["psl25.order-shape"].status == VERIFIED  # no lattice needed
@@ -189,6 +188,23 @@ def test_verify_claims_skip_on_resource_errors():
         assert by_id[needs_lattice].status == SKIPPED
         assert "cap" in by_id[needs_lattice].reason
     assert not any(c.status == "refuted" for c in claims)
+
+
+def test_verify_all_skips_claims_whose_groups_pass_the_element_cap(cache_dir):
+    # PSL(2,7) (168), S5 (120) and A5xA5 (3600) pass the cap, and each claim
+    # that needs one of them is skipped; PSL(2,5), its catalog and Z6/Z15 do not
+    def outcome(claim):
+        return {key: value for key, value in claim.as_dict().items() if key != "wall_time_s"}
+
+    capped = verify_all(limits=Limits(element_cap=100), cache_dir=cache_dir)
+    default = verify_all(cache_dir=cache_dir)
+    assert [c.claim_id for c in capped] == list(REGISTRY)
+    for claim, reference in zip(capped, default):
+        if claim.claim_id.startswith(("psl27.", "remark.")):
+            assert claim.status == SKIPPED and claim.evidence == {}
+            assert claim.reason.endswith("has more than 100 elements (element cap 100)")
+        else:
+            assert outcome(claim) == outcome(reference)
 
 
 def test_verify_all_covers_registry_once(cache_dir):
