@@ -27,6 +27,7 @@ from .poset import canonical_hash, find_poset_isomorphism
 from .subgroups import all_subgroups
 from .verify import (
     REFUTED,
+    SKIPPED,
     scan,
     verify_all,
     verify_lemma,
@@ -196,7 +197,7 @@ def _cmd_verify(args) -> int:
                 line += f" -- {claim.reason}"
             print(line)
         refuted = sum(1 for c in claims if c.status == REFUTED)
-        skipped = sum(1 for c in claims if c.status == "skipped")
+        skipped = sum(1 for c in claims if c.status == SKIPPED)
         print(f"{len(claims)} claims: {len(claims) - refuted - skipped} verified, "
               f"{skipped} skipped, {refuted} refuted")
     return 1 if any(c.status == REFUTED for c in claims) else 0

@@ -2,6 +2,8 @@
 Cayley table and one without; every other function reads products
 through it.  Subgroups are read in their parent: only the remark rebuilds
 one as a group of its own.  Only ``Limits.check`` raises a cap error.
+Only two process-wide tables are ``functools`` memos; a verify run keeps
+its own groups, lattices and class posets.
 Every public function has a caller in the library or the benchmark, bar
 a few named ones."""
 
@@ -70,9 +72,10 @@ def _as_group_calls(path: Path) -> set[tuple[str, str]]:
 
 
 def test_only_the_remark_rebuilds_a_subgroup():
-    # A5xA5 has no table, so the remark compares its two copies of A5
-    # rebuilt with tables of their own (see ROADMAP item 10)
-    assert set().union(*map(_as_group_calls, MODULES)) == {("verify", "verify_remark")}
+    # A5xA5 has no table, so the remark's copy-isomorphic claim compares
+    # its two copies of A5 rebuilt with tables of their own (see ROADMAP
+    # item 10)
+    assert set().union(*map(_as_group_calls, MODULES)) == {("verify", "_copy_isomorphic")}
 
 
 # public functions that only tests call, each kept for its reason
@@ -162,3 +165,66 @@ def test_only_limits_raises_a_cap_error():
     assert uses["limits"] == {("limits", "check", "ResourceLimitError")}
     assert set().union(*(found for stem, found in uses.items() if stem != "limits")) \
         == set(CAP_COMPARISONS)
+
+
+# functools memos, each kept for its reason; what one verify run builds
+# is kept by that run, cap errors included
+MEMOS = {
+    ("catalog", "_catalog_table"): "the curated catalog file, parsed once per process",
+    ("classposet", "_recognition_candidates"):
+        "the catalog groups a class label is recognized against, built once per order and limits",
+}
+
+
+def _memo_uses(stem: str, source: str) -> set[tuple[str, str]]:
+    """(module, enclosing function) of every use of ``functools.cache``
+    or ``functools.lru_cache``, by attribute or by an imported name, in
+    the module ``stem`` with ``source``; a decorator counts in the
+    function it decorates."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in ("cache", "lru_cache")}
+    uses = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Name) and node.id in names:
+            uses.add((stem, function))
+        if (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            uses.add((stem, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return uses
+
+
+def test_memo_scan_sees_decorators_calls_and_aliases():
+    source = (
+        "import functools\n"
+        "from functools import cached_property, lru_cache as memo\n"
+        "@functools.cache\n"
+        "def f():\n"
+        "    return 1\n"
+        "def g():\n"
+        "    @memo(maxsize=None)\n"
+        "    def inner():\n"
+        "        return 2\n"
+        "    return functools.lru_cache(inner)\n"
+        "class C:\n"
+        "    @cached_property\n"
+        "    def h(self):\n"
+        "        return 3\n"
+    )
+    assert _memo_uses("m", source) == {("m", "f"), ("m", "inner"), ("m", "g")}
+
+
+def test_only_two_process_tables_are_functools_memos():
+    found = set().union(*(_memo_uses(p.stem, p.read_text("utf-8")) for p in MODULES))
+    assert found == set(MEMOS)

@@ -14,6 +14,7 @@ from isoposet import (
     group_from_name,
     is_simple,
     normal_subgroups,
+    perm,
     subgroups,
     verify,
 )
@@ -68,8 +69,8 @@ def test_verify_psl27_statuses(cache_dir):
 
 
 def test_verify_psl27_enumerates_each_group_once(monkeypatch, call_counter):
-    # with no cache dir, the trio's lattices are shared between the
-    # no-maximal-order-15 and composition-factors claims, not rebuilt
+    # with no cache dir, the trio's lattices are enumerated for the
+    # no-maximal-order-15 claim alone; composition factors read none
     monkeypatch.delenv("ISOPOSET_CACHE_DIR", raising=False)
     calls = call_counter(subgroups, "_enumerate_subgroups", key=lambda group: group.name)
     verify_psl27()
@@ -205,6 +206,43 @@ def test_verify_all_skips_claims_whose_groups_pass_the_element_cap(cache_dir):
             assert claim.reason.endswith("has more than 100 elements (element cap 100)")
         else:
             assert outcome(claim) == outcome(reference)
+
+
+def test_composition_factors_read_no_lattice():
+    # normal structure is cap-free: the claim holds under an enumeration
+    # cap below every group it reads
+    by_id = {c.claim_id: c for c in verify_psl27(limits=Limits(enum_cap=30, iso_cap=30))}
+    claim = by_id["psl27.composition-factors"]
+    assert claim.status == VERIFIED and claim.reason is None
+    assert claim.evidence == {
+        "S5": {"factor_orders": [2, 60]},
+        "A5xZ2": {"factor_orders": [2, 60]},
+        "SL(2,5)": {"factor_orders": [2, 60]},
+        "PSL(2,7)": {"simple": True},
+    }
+
+
+def test_a_group_past_the_element_cap_is_walked_once(call_counter):
+    # the run keeps the cap error of PSL(2,7) and hands it to each claim
+    walks = call_counter(perm, "closure_walk", key=lambda *args, **kwargs: kwargs["subject"])
+    claims = verify_psl27(limits=Limits(element_cap=100))
+    assert walks["PSL(2,7)"] == 1
+    assert [c.status for c in claims] == [SKIPPED] * 6
+    trio = ("psl27.no-maximal-order-15", "psl27.composition-factors")
+    for claim in claims:
+        name = "S5" if claim.claim_id in trio else "PSL(2,7)"
+        assert claim.reason == f"{name} has more than 100 elements (element cap 100)"
+
+
+def test_verify_all_is_the_four_suites_in_order(cache_dir):
+    def outcomes(claims):
+        return [{key: value for key, value in claim.as_dict().items() if key != "wall_time_s"}
+                for claim in claims]
+
+    suites = (verify_psl25(cache_dir=cache_dir) + verify_psl27(cache_dir=cache_dir)
+              + verify_remark(cache_dir=cache_dir)
+              + verify_lemma("Z6", "Z15", cache_dir=cache_dir))
+    assert outcomes(suites) == outcomes(verify_all(cache_dir=cache_dir))
 
 
 def test_verify_all_covers_registry_once(cache_dir):
