@@ -123,7 +123,7 @@ def _least_multiplier(n: int, m: int) -> int:
 
 
 def semidirect_cyclic(n: int, m: int, k: int | None = None, *,
-                      limits: Limits = DEFAULT_LIMITS, name: str | None = None) -> FiniteGroup:
+                      limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Zn semidirect Zm on n points, generated by x -> x+1 and x -> k*x mod n.
 
     Requires k to have multiplicative order exactly m mod n, which makes the
@@ -132,7 +132,7 @@ def semidirect_cyclic(n: int, m: int, k: int | None = None, *,
     """
     if n < 2 or m < 1:
         raise ValueError(f"invalid semidirect parameters n={n}, m={m}")
-    limits.check(name or f"Z{n}:Z{m}", element_cap=n * m, degree_cap=n)
+    limits.check(f"Z{n}:Z{m}", element_cap=n * m, degree_cap=n)
     if k is None:
         k = _least_multiplier(n, m)
     if gcd(k, n) != 1:
@@ -142,7 +142,7 @@ def semidirect_cyclic(n: int, m: int, k: int | None = None, *,
         raise ValueError(f"multiplier {k} has order {ord_k} mod {n}, expected {m}")
     shift = Permutation(tuple((i + 1) % n for i in range(n)))
     mul = Permutation(tuple(i * k % n for i in range(n)))
-    return closure(n, [shift, mul], limits=limits, name=name or f"Z{n}:Z{m}")
+    return closure(n, [shift, mul], limits=limits, name=f"Z{n}:Z{m}")
 
 
 def dicyclic(n: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:

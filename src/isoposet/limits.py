@@ -9,17 +9,16 @@ class ResourceLimitError(RuntimeError):
     """An operation would exceed one of the configured caps."""
 
 
-# what each cap that refuses work counts; cayley_cap only chooses a representation
+# what each cap counts, one entry per field of Limits
 _UNITS = {"element_cap": "elements", "degree_cap": "points", "enum_cap": "elements",
           "iso_cap": "elements", "poset_cap": "nodes"}
 
 
 @dataclass(frozen=True)
 class Limits:
-    """Caps guarding the brute-force machinery.
+    """Caps guarding the brute-force machinery: each refuses work past it.
 
     element_cap   largest group order that closure() will enumerate
-    cayley_cap    largest order for which a full multiplication table is kept
     enum_cap      largest order accepted by complete subgroup enumeration
     iso_cap       largest order accepted by the group-isomorphism search
     poset_cap     largest node count accepted by the poset-isomorphism search
@@ -27,11 +26,11 @@ class Limits:
 
     :meth:`check` is the only code that raises a cap error.  Its message
     reads ``"<subject> has more than <cap> <unit> (<cap name> <cap>)"``,
-    for example ``"Z11 has more than 10 points (degree cap 10)"``.
+    for example ``"Z11 has more than 10 points (degree cap 10)"``.  Which
+    groups keep a Cayley table is no cap: ``perm.TABLE_ORDER`` decides it.
     """
 
     element_cap: int = 10_000
-    cayley_cap: int = 512
     enum_cap: int = 400
     iso_cap: int = 400
     poset_cap: int = 5_000

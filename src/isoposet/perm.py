@@ -17,6 +17,8 @@ from typing import Callable, ClassVar, Hashable, Iterable, Sequence
 
 from .limits import DEFAULT_LIMITS, Limits
 
+TABLE_ORDER = 512  # the largest order whose Cayley table a closure keeps
+
 
 @dataclass(frozen=True, slots=True)
 class Permutation:
@@ -141,12 +143,12 @@ class FiniteGroup:
     index 0, then the generators applied in input order.  Every group
     keeps ``moves``, right multiplication by each generator as an index
     map (``moves[k][a]`` is the index of elements[a] * generators[k]),
-    which its closure walk computes anyway; within ``cayley_cap`` it also
-    keeps the Cayley table, whose generator columns are the same maps;
-    every product is read through :attr:`rows`, which tells the two kinds
-    apart.  Instances are immutable and all operations on them are pure,
-    so groups can be shared freely across threads.  Construct through
-    :func:`closure` or the catalog module.
+    which its closure walk computes anyway; unless its order is past
+    ``TABLE_ORDER`` it also keeps the Cayley table, whose generator
+    columns are the same maps; every product is read through :attr:`rows`,
+    which tells the two kinds apart.  Instances are immutable and all
+    operations on them are pure, so groups can be shared freely across
+    threads.  Construct through :func:`closure` or the catalog module.
     """
 
     identity_index: ClassVar[int] = 0
@@ -182,7 +184,7 @@ class FiniteGroup:
     def rows(self) -> Sequence[Sequence[int]]:
         """``rows[i][j]`` is the index of elements[i] * elements[j]
         (elements[i] applied first): the Cayley table, or past
-        ``cayley_cap`` a read-only view of the permutation products."""
+        ``TABLE_ORDER`` a read-only view of the permutation products."""
         if self.cayley_table is not None:
             return self.cayley_table
         return _ProductRows(self.elements, self._index)
@@ -303,14 +305,13 @@ class FiniteGroup:
                     inside = set(members)
         return members
 
-    def greedy_generator_indices(self, members: Sequence[int] | None = None) -> tuple[int, ...]:
-        """Small generating set: repeatedly take the lowest index not yet
-        generated, joining it onto the subgroup generated so far."""
-        pool = members if members is not None else range(self.order)
+    def greedy_generator_indices(self, members: Sequence[int]) -> tuple[int, ...]:
+        """Small generating set of ``members``: repeatedly take the lowest
+        member not yet generated, joining it onto the subgroup so far."""
         gens: list[int] = []
         current = [self.identity_index]
         covered = set(current)
-        for m in pool:
+        for m in members:
             if m not in covered:
                 current = self.join(current, gens, m)
                 gens.append(m)
@@ -343,13 +344,13 @@ def closure_walk(identity: Hashable, gens: Iterable[Hashable],
     and drops it on return.  Past ``element_cap`` it raises, naming
     ``subject``.
 
-    Within ``cayley_cap`` the Cayley table is built from columns already
-    built: each element c other than the identity was first reached as
-    c = a*g from an earlier element a and a generator g, so x*c = (x*a)*g
-    and column c is column a read through g's right-multiplication map.
-    The walk already took those products, so the table takes no ``mul``
-    call of its own.  The maps themselves are returned as the moves; past
-    the cap the table is None.
+    The Cayley table is built from columns already built: each element c
+    other than the identity was first reached as c = a*g from an earlier
+    element a and a generator g, so x*c = (x*a)*g and column c is column a
+    read through g's right-multiplication map.  The walk already took
+    those products, so the table takes no ``mul`` call of its own.  The
+    maps themselves are returned as the moves; past ``TABLE_ORDER`` the
+    table is None.
     """
     gens = list(gens)
     cap = limits.element_cap
@@ -371,7 +372,7 @@ def closure_walk(identity: Hashable, gens: Iterable[Hashable],
         right[k] = tuple(move)
     moves = tuple(right)
     n = len(elems)
-    if n > limits.cayley_cap:
+    if n > TABLE_ORDER:
         return elems, None, moves
     columns: list[tuple[int, ...] | None] = [None] * n
     columns[0] = tuple(range(n))
@@ -395,7 +396,7 @@ def closure(
     Discovery order is breadth-first from the identity with generators
     applied in input order, so two runs with identical inputs produce
     identical element orderings.  A degree past ``degree_cap`` is refused
-    before the walk.  The Cayley table is built within ``cayley_cap``.
+    before the walk.  No Cayley table is kept past ``TABLE_ORDER``.
     Every element is a product of the checked generators, so its image
     tuple is taken as a bijection without a second check.
     """

@@ -438,23 +438,23 @@ def has_subgroup_of_order(group: FiniteGroup, m: int, *,
                           lattice: SubgroupLattice | None = None) -> bool:
     """Whether the group has a subgroup of order m.
 
-    Uses the lattice when available or enumerable; for orders at which every
-    group is cyclic it falls back to an element-order scan, because then a
-    subgroup of order m exists iff an element of order m does.  That stays
-    exact above the enumeration cap.
+    A lattice of another group is refused.  At orders where every group
+    is cyclic, a subgroup of order m exists iff an element of order m
+    does, so the element orders decide, exactly and past the enumeration
+    cap.  Other orders read the given lattice, or an enumerated one.
     """
+    if lattice is not None and lattice.parent is not group:
+        raise ValueError("lattice does not belong to this group")
     if m < 1:
         raise ValueError(f"subgroup order must be positive, got {m}")
     if m == 1 or m == group.order:
         return True
     if group.order % m:
         return False
+    if _every_group_cyclic(m):
+        return m in group.element_orders
     if lattice is None:
-        if _every_group_cyclic(m):
-            return m in group.element_orders
         lattice = all_subgroups(group, limits=limits)
-    elif lattice.parent is not group:
-        raise ValueError("lattice does not belong to this group")
     return any(s.order == m for s in lattice.subgroups)
 
 

@@ -181,12 +181,8 @@ def _copies_maximal(run: _Run):
 
 @_claim("psl25.no-order-15", "PSL(2,5) has no subgroup of order 15")
 def _no_order_15(run: _Run):
-    group = run.group("PSL(2,5)")
-    try:
-        lattice = run.lattice("PSL(2,5)")
-    except ResourceLimitError:
-        lattice = None  # order 15 still decidable through the element-order shortcut
-    present = has_subgroup_of_order(group, 15, limits=run.limits, lattice=lattice)
+    # every group of order 15 is cyclic, so element orders decide: no lattice
+    present = has_subgroup_of_order(run.group("PSL(2,5)"), 15, limits=run.limits)
     return _decide(not present, {"order": 15, "present": present})
 
 

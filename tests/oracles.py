@@ -7,8 +7,9 @@ enumerates order-respecting bijections outright, the poset oracle
 enumerates all node bijections, the subgroup oracle closes every small
 element subset, the conjugacy oracles conjugate by every element, the
 containment oracle tests every pair of member sets, the coset oracle
-multiplies every subgroup member by every element, and the product oracle
-closes the padded generators as permutations.
+multiplies every subgroup member by every element, the product oracle
+closes the padded generators as permutations, and the Eulerian oracle
+sums Moebius values up the lattice's containment masks.
 The classification oracle is an exception: it is the per-subgroup
 classification that the one-per-conjugacy-class path replaced, run on
 every subgroup with the library's own isomorphism search.  So is the
@@ -21,6 +22,7 @@ normal subgroup rebuilt as a group and on the quotient, with the library's
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -37,6 +39,12 @@ from isoposet import (
     normal_subgroups,
     refine,
 )
+
+
+def tableless(group: FiniteGroup) -> FiniteGroup:
+    """The same group, with the same elements and moves, but no Cayley
+    table: its ``rows`` reads every product off the permutations."""
+    return dataclasses.replace(group, cayley_table=None)
 
 
 def oracle_identity(degree: int) -> Permutation:
@@ -249,8 +257,7 @@ def oracle_right_cosets(group: FiniteGroup, members) -> tuple[list[int], list[in
     return coset_of, reps
 
 
-def oracle_direct_product(g: FiniteGroup, h: FiniteGroup, *,
-                          limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+def oracle_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H as ``closure`` of each factor's generators padded with the
     other factor's identity, on the disjoint union of their points."""
     degree = g.degree + h.degree
@@ -258,7 +265,30 @@ def oracle_direct_product(g: FiniteGroup, h: FiniteGroup, *,
     gens += [Permutation(tuple(range(g.degree)) + tuple(x + g.degree for x in p.images))
              for p in h.generators]
     name = f"{g.name}x{h.name}" if g.name and h.name else None
-    return closure(degree, gens, limits=limits, name=name)
+    return closure(degree, gens, name=name)
+
+
+def oracle_moebius(lattice) -> list[int]:
+    """mu(H, G) for each subgroup H of the lattice, by position: mu(G, G)
+    is 1, and mu(H, G) is minus the sum of mu over the strict supersets of
+    H, read bit by bit off ``supersets[H]``.  The subgroups are sorted by
+    order, so each superset's value is known before H's."""
+    top = len(lattice.subgroups) - 1
+    mu = [0] * (top + 1)
+    for i in reversed(range(top + 1)):
+        above, total = lattice.supersets[i] & ~(1 << i), 0
+        while above:
+            bit = above & -above
+            total += mu[bit.bit_length() - 1]
+            above ^= bit
+        mu[i] = 1 if i == top else -total
+    return mu
+
+
+def oracle_eulerian(lattice, k: int) -> int:
+    """Hall's Eulerian function: the sum over subgroups H of
+    mu(H, G) * |H|^k, which counts the k-tuples of elements that generate G."""
+    return sum(m * s.order ** k for m, s in zip(oracle_moebius(lattice), lattice.subgroups))
 
 
 def oracle_composition_factors(group: FiniteGroup, *,

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -31,8 +30,9 @@ from isoposet import (
     symmetric,
 )
 from isoposet.catalog import catalog_specs
+from isoposet.perm import TABLE_ORDER
 
-from oracles import oracle_direct_product, oracle_identity
+from oracles import oracle_direct_product, oracle_identity, tableless
 
 
 @pytest.mark.parametrize("builder,arg,expected", [
@@ -160,46 +160,35 @@ def _repeated_identity_z3():
     return closure(3, [ident, c, ident, c], name="Z3")
 
 
-_PRODUCT_CASES = {
-    "A5xA5": (lambda: (alternating(5), alternating(5)), Limits()),
-    "Z1xZ1": (lambda: (cyclic(1), cyclic(1)), Limits()),
-    "tableless-S4xZ2": (lambda: (symmetric(4, limits=Limits(cayley_cap=8)), cyclic(2)), Limits()),
-    "tableless-S4xZ2-no-table": (lambda: (symmetric(4, limits=Limits(cayley_cap=8)), cyclic(2)),
-                                 Limits(cayley_cap=8)),
-    "repeated-identity": (lambda: (_repeated_identity_z3(), cyclic(2)), Limits()),
-    "repeated-identity-right": (lambda: (cyclic(2), _repeated_identity_z3()),
-                                Limits(cayley_cap=4)),
+_PRODUCT_CASES = {  # the factors of each product; A5xA5 is past TABLE_ORDER
+    "A5xA5": lambda: (alternating(5), alternating(5)),
+    "Z1xZ1": lambda: (cyclic(1), cyclic(1)),
+    "tableless-S4xZ2": lambda: (tableless(symmetric(4)), cyclic(2)),
+    "tableless-S4xZ2-no-table": lambda: (tableless(symmetric(4)), tableless(cyclic(2))),
+    "repeated-identity": lambda: (_repeated_identity_z3(), cyclic(2)),
+    "repeated-identity-right": lambda: (cyclic(2), _repeated_identity_z3()),
 }
 
 
-@pytest.mark.parametrize("build,limits", _PRODUCT_CASES.values(), ids=_PRODUCT_CASES.keys())
-def test_direct_product_equals_closure(build, limits):
+@pytest.mark.parametrize("build", _PRODUCT_CASES.values(), ids=_PRODUCT_CASES.keys())
+def test_direct_product_equals_closure(build):
     left, right = build()
-    product = direct_product(left, right, limits=limits)
-    _assert_same_product(product, oracle_direct_product(left, right, limits=limits))
-    assert (product.cayley_table is None) == (product.order > limits.cayley_cap)
+    product = direct_product(left, right)
+    _assert_same_product(product, oracle_direct_product(left, right))
+    assert (product.cayley_table is None) == (product.order > TABLE_ORDER)
 
 
 def test_moves_are_the_table_columns():
     # every group keeps its generators' moves: a table's generator columns,
-    # the same with a table or without, and the generators' indices at the
-    # identity's entry
-    no_table = Limits(cayley_cap=0)
-    pairs = [(spec.build(), spec.build(limits=no_table)) for spec in catalog_specs()]
-    for build, limits in _PRODUCT_CASES.values():
-        left, right = build()
-        pairs.append((direct_product(left, right, limits=limits),
-                      direct_product(left, right, limits=replace(limits, cayley_cap=0))))
-    z3 = _repeated_identity_z3()
-    pairs.append((z3, closure(3, z3.generators, limits=no_table)))
+    # and the generators' indices at the identity's entry
+    groups = [spec.build() for spec in catalog_specs()]
+    groups += [direct_product(*build()) for build in _PRODUCT_CASES.values()]
+    groups.append(_repeated_identity_z3())
     s4 = symmetric(4)
     for gens in ([], [0, 0], [0, 5, 5, 0, 7]):
-        perms = [s4.elements[g] for g in gens]
-        pairs.append((closure(4, perms), closure(4, perms, limits=no_table)))
-    pairs += [(sub.as_group(), sub.as_group(limits=no_table)) for sub in all_subgroups(s4).subgroups]
-    for group, untabled in pairs:
-        assert untabled.cayley_table is None and untabled.elements == group.elements
-        assert untabled.moves == group.moves
+        groups.append(closure(4, [s4.elements[g] for g in gens]))
+    groups += [sub.as_group() for sub in all_subgroups(s4).subgroups]
+    for group in groups:
         gens = group.generator_indices()
         assert gens == tuple(group.index_of(p) for p in group.generators)
         assert len(group.moves) == len(group.generators)

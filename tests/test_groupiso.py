@@ -35,6 +35,7 @@ from oracles import (
     oracle_group_isomorphic,
     oracle_inverse,
     oracle_order,
+    tableless,
 )
 
 
@@ -88,9 +89,8 @@ def test_element_orders_computed_once(call_counter):
     # every group, with a Cayley table or without one, takes its element
     # orders and inverses from one walk of the powers through its rows
     walks = call_counter(perm, "_power_walk", key=lambda rows, n: id(rows))
-    for limits in (Limits(), Limits(cayley_cap=8)):
-        g = symmetric(4, limits=limits)
-        assert (g.cayley_table is None) == (limits.cayley_cap == 8)
+    tabled = symmetric(4)
+    for g in (tabled, tableless(tabled)):
         fingerprint(g)
         assert find_isomorphism(g, g) is not None
         assert [g.inverse_index(i) for i in range(g.order)] == [
@@ -117,7 +117,7 @@ def test_invariants_in_the_parent_equal_the_realized_fingerprint(cache_dir):
 
 def test_conjugacy_classes_match_bruteforce_oracle():
     groups = [spec.build() for spec in catalog_specs(max_order=168)]
-    groups.append(symmetric(4, limits=Limits(cayley_cap=8)))
+    groups.append(tableless(symmetric(4)))
     for group in groups:
         assert conjugacy_classes(group) == oracle_element_classes(group), group.name
 
@@ -128,9 +128,7 @@ def test_parent_without_a_table_reads_like_one_with(call_counter):
     # rows, however many subgroups read them
     walks = call_counter(perm, "_power_walk", key=lambda rows, n: id(rows))
     tabled = symmetric(4)
-    untabled = symmetric(4, limits=Limits(cayley_cap=8))
-    assert untabled.cayley_table is None
-    assert untabled.elements == tabled.elements
+    untabled = tableless(tabled)
     assert untabled.conjugation_maps == tabled.conjugation_maps
     for g in range(tabled.order):
         assert ([untabled.conjugate_index(i, g) for i in range(tabled.order)]
@@ -171,18 +169,19 @@ def test_fingerprint_without_a_table_work_count(call_counter):
     assert mults["mult"] <= 4000  # 45,224 when each map took two products an element
 
 
-@pytest.mark.parametrize("cayley_cap", [512, 1], ids=["table", "no-table"])
-def test_witness_check_rejects_a_non_homomorphism(cayley_cap):
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
+def test_witness_check_rejects_a_non_homomorphism(table):
     # inversion is a bijection that keeps element orders; it is a
     # homomorphism exactly on abelian groups
-    limits = Limits(cayley_cap=cayley_cap)
-    for group, abelian in ((symmetric(3, limits=limits), False), (cyclic(6, limits=limits), True)):
-        assert (group.cayley_table is None) == (cayley_cap == 1)
+    def build(group):
+        return group if table else tableless(group)
+
+    for group, abelian in ((build(symmetric(3)), False), (build(cyclic(6)), True)):
         inversion = [group.inverse_index(i) for i in range(group.order)]
         assert _is_isomorphism(group, group, list(range(group.order)))
         assert _is_isomorphism(group, group, inversion) == abelian
     # and on subgroups read in their parent: V4 and S3 in S4
-    s4 = symmetric(4, limits=limits)
+    s4 = build(symmetric(4))
     for cycles, abelian in (([((0, 1), (2, 3)), ((0, 2), (1, 3))], True),
                             ([((0, 1),), ((0, 1, 2),)], False)):
         sub = subgroup_generated_by(s4, [s4.index_of(Permutation.from_cycles(4, *c))

@@ -1,16 +1,19 @@
 """Layering: only ``FiniteGroup.rows`` chooses between a group with a
 Cayley table and one without; every other function reads products
 through it.  Subgroups are read in their parent: only the remark rebuilds
-one as a group of its own.  Only ``Limits.check`` raises a cap error.
+one as a group of its own.  Only ``Limits.check`` raises a cap error, and
+every field of ``Limits`` is a cap that refuses work.
 Only two process-wide tables are ``functools`` memos; a verify run keeps
 its own groups, lattices and class posets.
 Every public function has a caller in the library or the benchmark, bar
 a few named ones."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import isoposet
+from isoposet import Limits, limits
 
 MODULES = sorted(Path(isoposet.__file__).parent.glob("*.py"))
 BENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
@@ -108,8 +111,6 @@ def test_every_public_function_has_a_caller():
 
 # comparisons against a cap outside limits.py, each kept for its reason
 CAP_COMPARISONS = {
-    ("perm", "closure_walk", "cayley_cap"):
-        "chooses whether a group keeps its Cayley table; it refuses nothing",
     ("perm", "closure_walk", "element_cap"):
         "the walk's test runs once per element, and it asks Limits.check for the error",
     ("classposet", "_label_for", "iso_cap"):
@@ -158,6 +159,12 @@ def test_cap_scan_sees_direct_and_aliased_comparisons():
     )
     assert _cap_uses("m", source) == {("m", "f", "enum_cap"), ("m", "f", "iso_cap"),
                                       ("m", "f", "ResourceLimitError")}
+
+
+def test_limits_holds_caps_only():
+    # each field has the unit its cap error names; a setting that refuses
+    # nothing, such as the Cayley-table threshold, is a module constant
+    assert {field.name for field in dataclasses.fields(Limits)} == set(limits._UNITS)
 
 
 def test_only_limits_raises_a_cap_error():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoposet import (
-    DEFAULT_LIMITS,
     FiniteGroup,
     Limits,
     Permutation,
@@ -19,8 +18,9 @@ from isoposet import (
     symmetric,
 )
 from isoposet.catalog import catalog_specs
+from isoposet.perm import TABLE_ORDER
 
-from oracles import oracle_compose, oracle_identity, oracle_inverse, oracle_order
+from oracles import oracle_compose, oracle_identity, oracle_inverse, oracle_order, tableless
 
 
 def perm(*cycles, degree):
@@ -28,7 +28,7 @@ def perm(*cycles, degree):
 
 
 def test_compose_identity():
-    for g in (symmetric(4), symmetric(4, limits=Limits(cayley_cap=0))):
+    for g in (symmetric(4), tableless(symmetric(4))):
         e, everything = g.identity_index, list(range(g.order))
         assert g.elements[e] == oracle_identity(4)
         assert [g.rows[e][j] for j in everything] == everything
@@ -54,7 +54,7 @@ def test_compose_inverse_cancels():
 def test_compose_applies_left_argument_first():
     p = perm((0, 1), degree=3)
     q = perm((1, 2), degree=3)
-    for g in (closure(3, [p, q]), closure(3, [p, q], limits=Limits(cayley_cap=0))):
+    for g in (closure(3, [p, q]), tableless(closure(3, [p, q]))):
         r = g.elements[g.rows[g.index_of(p)][g.index_of(q)]]
         for x in range(3):
             assert r(x) == q(p(x))
@@ -127,7 +127,7 @@ def test_closure_idempotent_on_closed_set():
 
 
 def test_cayley_table_cap():
-    g = closure(3, [perm((0, 1, 2), degree=3)], limits=Limits(cayley_cap=2))
+    g = tableless(closure(3, [perm((0, 1, 2), degree=3)]))
     assert g.cayley_table is None
     assert g.mult(1, 2) == g.identity_index  # falls back to composing images
     with_table = cyclic(3)
@@ -146,8 +146,22 @@ def _assert_table_matches_compose(group):
 
 
 def test_cayley_table_matches_compose_on_catalog():
-    for spec in catalog_specs(DEFAULT_LIMITS.cayley_cap):
+    # every catalog group up to TABLE_ORDER keeps a table
+    for spec in catalog_specs(TABLE_ORDER):
         _assert_table_matches_compose(spec.build())
+
+
+def test_no_table_past_table_order():
+    # a group keeps its table up to TABLE_ORDER and no further; past it,
+    # rows reads each product off the permutations
+    assert cyclic(TABLE_ORDER).cayley_table is not None
+    assert cyclic(TABLE_ORDER + 1).cayley_table is None
+    s6 = symmetric(6)
+    assert s6.order == 720 > TABLE_ORDER and s6.cayley_table is None
+    els = s6.elements
+    for i in range(0, 720, 7):
+        for j in range(i % 11, 720, 61):
+            assert els[s6.rows[i][j]] == oracle_compose(els[i], els[j])
 
 
 @pytest.mark.parametrize("gens", [
@@ -179,7 +193,7 @@ def test_a5_element_order_histogram():
 
 
 def test_element_orders_from_table_match_permutation_orders():
-    groups = [spec.build() for spec in catalog_specs(DEFAULT_LIMITS.cayley_cap)]
+    groups = [spec.build() for spec in catalog_specs(TABLE_ORDER)]
     for g in groups + [psl2(7), sl2_5()]:
         assert g.cayley_table is not None
         assert g.element_orders == tuple(map(oracle_order, g.elements)), g.name
@@ -200,15 +214,14 @@ def permutations(draw, degree=None):
 @st.composite
 def closures(draw):
     """The group of one to three random permutations of one degree, built
-    with its Cayley table and without one (``cayley_cap=0``), and three
-    random element indices."""
+    with its Cayley table and without one, and three random element
+    indices."""
     n = draw(st.integers(min_value=1, max_value=5))
     gens = draw(st.lists(permutations(degree=n), min_size=1, max_size=3))
-    tabled, tableless = closure(n, gens), closure(n, gens, limits=Limits(cayley_cap=0))
-    assert tabled.cayley_table is not None and tableless.cayley_table is None
-    assert tabled.elements == tableless.elements
+    tabled = closure(n, gens)
+    assert tabled.cayley_table is not None
     index = st.integers(min_value=0, max_value=tabled.order - 1)
-    return (tabled, tableless), [draw(index) for _ in range(3)]
+    return (tabled, tableless(tabled)), [draw(index) for _ in range(3)]
 
 
 @given(closures())
@@ -231,11 +244,10 @@ def test_inverse_cancels(case):
 
 
 def test_inverse_correct_on_whole_groups(psl27_lattice):
-    tableless = closure(4, symmetric(4).generators, limits=Limits(cayley_cap=10))
-    assert tableless.cayley_table is None
+    untabled = tableless(symmetric(4))
     realized = next(s for s in psl27_lattice.subgroups if s.order == 24).as_group()
     assert realized.cayley_table is not None
-    for g in (symmetric(4), dihedral(10), cyclic(12), tableless, realized):
+    for g in (symmetric(4), dihedral(10), cyclic(12), untabled, realized):
         for i in range(g.order):
             j = g.inverse_index(i)
             assert g.mult(i, j) == g.identity_index

@@ -47,11 +47,18 @@ from oracles import (
     oracle_composition_factors,
     oracle_conjugacy_classes,
     oracle_containment,
+    oracle_eulerian,
+    oracle_moebius,
     oracle_right_cosets,
     oracle_subgroups,
+    tableless,
 )
 
-_NO_TABLE = Limits(cayley_cap=8)
+
+def _named(name, table):
+    """The named catalog group, with its Cayley table or without one."""
+    group = group_from_name(name)
+    return group if table else tableless(group)
 
 
 def test_subgroup_counts_cyclic6():
@@ -149,10 +156,6 @@ def test_as_group_keeps_closure_caps():
     with pytest.raises(ResourceLimitError) as closed:
         closure(group.degree, gens, limits=small)
     assert str(realized.value) == str(closed.value)
-    no_table = Limits(cayley_cap=10)
-    assert whole.as_group(limits=no_table).cayley_table is None
-    _assert_same_group(whole.as_group(limits=no_table),
-                       closure(group.degree, gens, limits=no_table))
 
 
 def test_as_group_without_parent_table_orders_only_its_elements(call_counter):
@@ -195,12 +198,11 @@ def test_enumeration_work_count_psl27(call_counter):
     assert closures["closure_indices"] == 0
 
 
-@pytest.mark.parametrize("name, limits", [
-    ("A5", Limits()), ("S4", Limits()), ("A5", _NO_TABLE), ("S4", _NO_TABLE),
+@pytest.mark.parametrize("name, table", [
+    ("A5", True), ("S4", True), ("A5", False), ("S4", False),
 ], ids=["A5", "S4", "A5-no-table", "S4-no-table"])
-def test_coset_join_matches_closure(name, limits):
-    group = group_from_name(name, limits=limits)
-    assert (group.cayley_table is None) == (limits is _NO_TABLE)
+def test_coset_join_matches_closure(name, table):
+    group = _named(name, table)
     half = group.order // 2
     results = set()
     for orbit in subgroups._enumerate_subgroups(group):
@@ -217,12 +219,12 @@ def test_coset_join_matches_closure(name, limits):
     assert None in results and len(results) > 2
 
 
-@pytest.mark.parametrize("limits", [Limits(), _NO_TABLE], ids=["table", "no-table"])
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
 @pytest.mark.parametrize("name", ["S4", "A5", "D12"])
-def test_generators_and_normal_closures_match_oracles(name, limits):
+def test_generators_and_normal_closures_match_oracles(name, table):
     # greedy generators and normal closures are grown by joins; the oracles
     # close every candidate generator list and conjugate every member anew
-    group = group_from_name(name, limits=limits)
+    group = _named(name, table)
     conjugators = group.generator_indices()
 
     def greedy_oracle(members):
@@ -241,7 +243,8 @@ def test_generators_and_normal_closures_match_oracles(name, limits):
                 return sorted(members)
             members = oracle_closure(group, members | conjugates)
 
-    assert group.greedy_generator_indices() == greedy_oracle(range(group.order))
+    everything = range(group.order)
+    assert group.greedy_generator_indices(everything) == greedy_oracle(everything)
     for sub in all_subgroups(group).subgroups:
         assert group.greedy_generator_indices(sub.members) == greedy_oracle(sub.members)
         assert (group.normal_closure_indices(sub.gens, conjugators)
@@ -342,21 +345,18 @@ def test_prime_order_subgroup_count_crosscheck():
 
 
 def _table_and_no_table_groups():
-    """Eight groups, each built with its Cayley table and again without one."""
-    for limits in (Limits(), _NO_TABLE):
-        yield limits, [cyclic(12, limits=limits), symmetric(4, limits=limits),
-                       alternating(4, limits=limits), dihedral(12, limits=limits),
-                       dicyclic(3, limits=limits), alternating(5, limits=limits),
-                       group_from_name("A5xZ2", limits=limits),
-                       group_from_name("D10xS3", limits=limits)]
+    """Eight groups with their Cayley tables, and the same eight without."""
+    groups = [cyclic(12), symmetric(4), alternating(4), dihedral(12), dicyclic(3),
+              alternating(5), group_from_name("A5xZ2"), group_from_name("D10xS3")]
+    assert all(group.cayley_table is not None for group in groups)
+    return groups, [tableless(group) for group in groups]
 
 
 def test_is_maximal_matches_lattice_flags():
     # each group with its Cayley table and again without one, where cosets
     # are labelled through the generator moves and candidates act by mult
-    for limits, groups in _table_and_no_table_groups():
+    for groups in _table_and_no_table_groups():
         for group in groups:
-            assert (group.cayley_table is None) == (limits is _NO_TABLE)
             lattice = all_subgroups(group)
             for i, sub in enumerate(lattice.subgroups):
                 if sub.order == group.order:
@@ -368,10 +368,7 @@ def test_groups_with_and_without_a_table_agree():
     # the product view reads every product as the Cayley table does, so
     # the two kinds give the same orders, inverses, lattices, normal
     # subgroups and invariants
-    (_, tabled), (_, untabled) = _table_and_no_table_groups()
-    for with_table, without in zip(tabled, untabled):
-        assert with_table.elements == without.elements
-        assert without.cayley_table is None
+    for with_table, without in zip(*_table_and_no_table_groups()):
         n = with_table.order
         assert ([[without.rows[i][j] for j in range(n)] for i in range(n)]
                 == [list(row) for row in with_table.rows]), with_table.name
@@ -412,7 +409,7 @@ def test_subgroups_compared_in_their_parent_match_realized_groups():
     # realizations are, also when the fingerprint screen is bypassed; so
     # are a catalog group and a subgroup, which is how classes are named
     named: dict[int, list] = {}
-    for _, groups in _table_and_no_table_groups():
+    for groups in _table_and_no_table_groups():
         for group in groups:
             lattice = all_subgroups(group)
             first: dict[int, int] = {}
@@ -440,9 +437,9 @@ def test_subgroups_compared_in_their_parent_match_realized_groups():
 
 
 @pytest.mark.parametrize("name", ["S4", "A5"])
-@pytest.mark.parametrize("limits", [Limits(), _NO_TABLE], ids=["table", "no-table"])
-def test_right_cosets_match_oracle(name, limits):
-    group = group_from_name(name, limits=limits)
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
+def test_right_cosets_match_oracle(name, table):
+    group = _named(name, table)
     for sub in all_subgroups(group).subgroups:
         assert subgroups._right_cosets(group, sub) == oracle_right_cosets(group, sub.members)
 
@@ -498,11 +495,16 @@ def test_a4_copies_are_maximal_in_a5(a5, a5_lattice):
             assert is_maximal(a5, sub)
 
 
-def test_has_subgroup_of_order_basic(a5, a5_lattice):
+def test_has_subgroup_of_order_basic(a5, a5_lattice, psl25):
     assert not has_subgroup_of_order(a5, 15, lattice=a5_lattice)
     assert has_subgroup_of_order(a5, 10, lattice=a5_lattice)
     assert has_subgroup_of_order(a5, a5.order, lattice=a5_lattice)
     assert not has_subgroup_of_order(a5, 7, lattice=a5_lattice)
+    # a lattice of another group is refused, also at orders that element
+    # orders decide
+    for m in (15, 12):
+        with pytest.raises(ValueError, match="does not belong"):
+            has_subgroup_of_order(psl25, m, lattice=a5_lattice)
 
 
 def test_has_subgroup_of_order_shortcut_above_cap(a5):
@@ -513,6 +515,42 @@ def test_has_subgroup_of_order_shortcut_above_cap(a5):
         has_subgroup_of_order(big, 8)
     # order 505 is above the cap too, and 101 lies beyond the old table's range
     assert has_subgroup_of_order(direct_product(cyclic(101), cyclic(5)), 101)
+
+
+def _generating_tuples(group, k):
+    """The elements (k = 1) or pairs (k = 2) that generate the group,
+    counted directly; a pair's first entry runs over class representatives,
+    weighted by class size, as conjugation keeps generation."""
+    n, half = group.order, group.order // 2
+
+    def generates(seed):
+        members = group.closure_indices(seed, stop_above=half)
+        return members is None or len(members) == n
+
+    if k == 1:
+        return sum(generates([x]) for x in range(n))
+    return sum(len(cls) * sum(generates([cls[0], y]) for y in range(n))
+               for cls in conjugacy_classes(group))
+
+
+def test_eulerian_function_counts_generating_tuples(cache_dir):
+    # Hall's Eulerian function against a direct count on every catalog
+    # group; it counts generating elements, so only cyclic groups have any
+    for spec in catalog_specs():
+        group = spec.build()
+        lattice = all_subgroups(group, cache_dir=cache_dir)
+        phi1 = oracle_eulerian(lattice, 1)
+        assert phi1 == _generating_tuples(group, 1), spec.name
+        assert (phi1 != 0) == (spec.kind == "cyclic"), spec.name
+        assert oracle_eulerian(lattice, 2) == _generating_tuples(group, 2), spec.name
+
+
+def test_eulerian_values_of_a5(a5_lattice):
+    # Hall (1936): mu(1, A5) = -60, and A5 has 2280 = 19 * |Aut A5|
+    # generating pairs, so 19 generating pairs up to automorphism
+    assert oracle_moebius(a5_lattice)[0] == -60
+    assert oracle_eulerian(a5_lattice, 2) == 2280 == 19 * 120
+    assert oracle_eulerian(a5_lattice, 1) == 0
 
 
 def test_every_group_cyclic_matches_table():
@@ -677,8 +715,8 @@ def test_composition_factors_match_recursive_oracle(a5):
 def test_normal_subgroups_of_a_subgroup_match_its_rebuilt_group():
     # read in the parent, with or without its table, or rebuilt on its own
     for name in ("S4", "SL(2,5)", "A5xZ2", "PSL(2,7)", "S5"):
-        for limits in (Limits(), Limits(cayley_cap=0)):
-            group = group_from_name(name, limits=limits)
+        for table in (True, False):
+            group = _named(name, table)
             lattice = all_subgroups(group)
             for i in sorted({lattice.class_of.index(c) for c in lattice.class_of}):
                 sub = lattice.subgroups[i]
