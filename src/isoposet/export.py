@@ -1,7 +1,9 @@
 """JSON and DOT serialization of groups, class posets and claim runs.
 
-The JSON schema is stable: {group, poset, digest, claims}; commands that
-need more attach extra top-level keys without touching these four.
+The JSON schema is stable: {group, poset, digest, digest_version, claims},
+where ``digest_version`` names the canonical form that digests hash (2 since
+the form is read off individualization-refinement); commands that need more
+attach extra top-level keys without touching these five.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import json
 
 from .classposet import IsoPoset
 from .perm import FiniteGroup
+from .poset import DIGEST_VERSION
 from .verify import ClaimResult
 
 
@@ -43,6 +46,7 @@ def report_dict(
         "group": group_dict(group) if group is not None else None,
         "poset": poset_dict(iso) if iso is not None else None,
         "digest": digest,
+        "digest_version": DIGEST_VERSION,
         "claims": [c.as_dict() for c in (claims or [])],
     }
     payload.update(extra)

@@ -2,9 +2,10 @@
 
 Posets are stored as Hasse diagrams (cover relations); for finite posets
 cover-digraph isomorphism and order isomorphism coincide, so all searches
-run on the reduction.  Refinement is a pruning heuristic only; completeness
-always comes from the canonical search below it, which decides isomorphism
-as well as the digest.
+run on the reduction.  Refinement gives the root of the canonical search and
+runs again after each node the search splits off; completeness comes from
+the search's leaves, whose least form decides isomorphism as well as the
+digest.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -113,15 +114,23 @@ class Poset:
     @cached_property
     def heights(self) -> tuple[int, ...]:
         h = [0] * self.n
+        up = self.up
         for x in reversed(self._topo_from_top):
-            h[x] = max((h[y] + 1 for y in self.down[x]), default=0)
+            above = h[x] + 1
+            for y in up[x]:
+                if h[y] < above:
+                    h[y] = above
         return tuple(h)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
         d = [0] * self.n
+        down = self.down
         for x in self._topo_from_top:
-            d[x] = max((d[y] + 1 for y in self.up[x]), default=0)
+            below = d[x] + 1
+            for y in down[x]:
+                if d[y] < below:
+                    d[y] = below
         return tuple(d)
 
     def leq(self, a: int, b: int) -> bool:
@@ -131,136 +140,247 @@ class Poset:
     def _canonical_labeling(self) -> tuple[tuple, tuple[int, ...]]:
         """The canonical form and the node placement that reaches it.
 
-        Nodes are placed one position at a time; each position records
-        (refinement color, cover bits down to the placed prefix, 0), and the
-        lexicographically least full placement wins.  Equal forms hold
-        exactly for isomorphic posets.  The search keeps an explicit stack, one
-        iterator of candidate nodes per position, so no recursion limit bounds n.
+        The form is read off the leaves of an individualization-refinement
+        tree, as in McKay and Piperno, "Practical graph isomorphism, II"
+        (2014).  Its root is the equitable partition of ``refine``; a node
+        whose partition has a cell of two or more nodes has one child for
+        each member of the first smallest such cell, that member split off
+        the front of the cell and the partition refined again.  A leaf's
+        partition places every node at its own position, and its form is
+        ``(n, sorted((position[lo], position[hi]) for each cover))``.  The
+        least form over the leaves is the canonical form: cells are chosen
+        and split by positions and counts, never by node indices, so a
+        relabeled poset grows the same tree up to the order of siblings, and
+        equal forms hold exactly for isomorphic posets.
 
-        Candidates that an automorphism already covers are skipped, as in
-        McKay and Piperno, "Practical graph isomorphism, II" (2014).  Twins,
-        nodes with the same up and down covers, are swapped by an automorphism,
-        and two full placements with one form give the automorphism that maps
-        the first onto the second, re-checked edge by edge.  A candidate is
-        skipped when the automorphisms known to fix the placed prefix map a
-        sibling tried before it onto it.  The skipped subtree is the image of
-        that sibling's subtree, so it holds the same forms, and the first
-        placement that reaches the least form is never skipped: the form, the
-        placement and every digest are those of the search without skips.
+        Two kinds of subtree are skipped, each the image of a subtree already
+        searched under an automorphism, so it holds the same forms.  A cell
+        of twins (nodes with the same up and down covers) is split into
+        single nodes in one step, in index order, since any order of twins
+        is an automorphism's image of any other.  Two leaves with one form
+        give an automorphism, re-checked edge by edge; the search then goes
+        back to where the two leaves' paths part, and a member is skipped
+        when the automorphisms that fix the nodes split off above it map an
+        earlier member onto it.  The search keeps an explicit stack, so no
+        recursion limit bounds n.
         """
         n = self.n
         if n == 0:
             return (0, ()), ()
-        colors = refine(self)
-        up, down = self.up, self.down
-        # colors keep the order of heights and the least color is placed
-        # first, so position k holds a node of color slots[k], and every node
-        # below a placed node was placed before it
-        slots = sorted(colors)
-        members: list[list[int]] = [[] for _ in range(slots[-1] + 1)]
-        for c in range(n):
-            members[colors[c]].append(c)
-        edges = set(self.hasse)
-        placed: list[int] = []
-        placed_mask = 0
-        lo = [0] * n  # bit k of lo[c] is set when c covers the node at position k
-        form: list[tuple[int, int, int]] = []
-        best: tuple | None = None
-        best_placed: tuple[int, ...] = ()
-        automorphisms: list[tuple[int, list[int]]] = []  # (mask of moved nodes, map)
+        ranks = refine(self)
+        members: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+        for x, r in enumerate(ranks):
+            members[r].append(x)
+        color, cells, start = [0] * n, [None] * n, 0
+        for cell in members:
+            cells[start] = cell
+            for x in cell:
+                color[x] = start
+            start += len(cell)
+        position = _least_leaf(self.up, self.down, self.hasse, color, cells)
+        placement = [0] * n
+        for x in range(n):
+            placement[position[x]] = x
+        form = tuple(sorted((position[lo], position[hi]) for lo, hi in self.hasse))
+        return (n, form), tuple(placement)
 
-        def level() -> Iterator[tuple[tuple[int, int, int], int]]:
-            # the nodes of least signature may take the next position,
-            # unless that signature already makes the form exceed the best
-            color = slots[len(placed)]
-            free = [c for c in members[color] if not placed_mask >> c & 1]
-            least = min(lo[c] for c in free)
-            # cover bits up from a node to the placed prefix are always 0, as
-            # every node below a placed node was placed before it.  The 0
-            # stays so that forms, and the digests hashed from them, do not change.
-            sig = (color, least, 0)
-            if best is not None and tuple(form) + (sig,) > best[: len(form) + 1]:
-                return
-            ties = [c for c in free if lo[c] == least]
-            # orbits of the ties, each kept at its least member: twins (equal
-            # up and down covers) start joined, and each automorphism that
-            # fixes the prefix joins more, as it maps ties onto ties
-            first: dict[tuple, int] = {}
-            orbit = {c: first.setdefault((up[c], down[c]), c) for c in ties}
 
-            def root(c: int) -> int:
-                while orbit[c] != c:
-                    c = orbit[c]
-                return c
+class _Branch:
+    """A node of the search tree: its partition, the start of its target
+    cell and the members of that cell, in index order, tried one by one."""
 
-            known = 0
-            for c in ties:
-                for moved, image in automorphisms[known:]:
-                    if not moved & placed_mask:
-                        for x in ties:
-                            a, b = root(x), root(image[x])
-                            if a != b:
-                                orbit[max(a, b)] = min(a, b)
-                known = len(automorphisms)
-                if root(c) == c:
-                    yield sig, c
+    __slots__ = ("color", "cells", "start", "fixed", "members", "index", "orbit", "known")
 
-        stack = [level()]
-        while stack:
-            if len(placed) == len(stack):
-                x = placed.pop()
-                placed_mask ^= 1 << x
-                for y in up[x]:
-                    lo[y] ^= 1 << len(placed)
-                form.pop()
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
+    def __init__(self, color: list[int], cells: list, start: int, fixed: int) -> None:
+        self.color, self.cells, self.start = color, cells, start
+        self.fixed = fixed  # mask of the nodes split off on the path here
+        self.members = sorted(cells[start])
+        self.index = 0
+        # union-find of the members' orbits, each kept at its least member
+        self.orbit = {x: x for x in self.members}
+        self.known = 0  # automorphisms already merged into the orbits
+
+    def child(self, up, down) -> tuple[list[int], list]:
+        return _individualize(up, down, self.color, self.cells, self.start,
+                              self.members[self.index])
+
+    def advance(self, automorphisms: list[tuple[int, list[int]]]) -> bool:
+        """Move to the next member that is the least of its orbit under the
+        automorphisms fixing every node split off on the path here."""
+        orbit = self.orbit
+        for moved, image in automorphisms[self.known:]:
+            if not moved & self.fixed:
+                for a in self.members:
+                    b = image[a]
+                    while orbit[a] != a:
+                        a = orbit[a]
+                    while orbit[b] != b:
+                        b = orbit[b]
+                    if a != b:
+                        orbit[max(a, b)] = min(a, b)
+        self.known = len(automorphisms)
+        index = self.index + 1
+        while index < len(self.members) and orbit[self.members[index]] != self.members[index]:
+            index += 1
+        self.index = index
+        return index < len(self.members)
+
+
+def _least_leaf(up, down, hasse, color: list[int], cells: list) -> list[int]:
+    """The positions of the first leaf with the least form below the
+    equitable partition (color, cells); see ``Poset._canonical_labeling``."""
+    n = len(color)
+    best: tuple[int, ...] | None = None  # a leaf's cover pairs, each as one int
+    best_color: list[int] = []
+    best_path: list[int] = []
+    automorphisms: list[tuple[int, list[int]]] = []  # (mask of moved nodes, map)
+    stack: list[_Branch] = []
+    fixed = 0
+    while True:
+        # descend by first members to a leaf
+        while True:
+            start, size, s = -1, n + 1, 0
+            while s < n:
+                if 1 < len(cells[s]) < size:
+                    start, size = s, len(cells[s])
+                s += len(cells[s])
+            if start < 0:
+                break
+            cell = cells[start]
+            # a cell of twins splits into single nodes in one step
+            if all(up[x] == up[cell[0]] and down[x] == down[cell[0]] for x in cell):
+                color, cells = color[:], cells[:]
+                for k, x in enumerate(sorted(cell), start):
+                    cells[k] = [x]
+                    color[x] = k
+                    fixed |= 1 << x
                 continue
-            sig, c = step
-            for y in up[c]:
-                lo[y] |= 1 << len(placed)
-            placed.append(c)
-            placed_mask |= 1 << c
-            form.append(sig)
-            if len(placed) < n:
-                stack.append(level())
-            elif best is None or tuple(form) < best:
-                best, best_placed = tuple(form), tuple(placed)
-            elif tuple(form) == best:
-                image = [0] * n
-                for a, b in zip(best_placed, placed):
-                    image[a] = b
-                if {(image[a], image[b]) for a, b in edges} != edges:
-                    raise RuntimeError("equal canonical forms gave a non-automorphism")
-                moved = sum(1 << x for x in range(n) if image[x] != x)
-                automorphisms.append((moved, image))
-        return (n, best), best_placed
+            branch = _Branch(color, cells, start, fixed)
+            stack.append(branch)
+            color, cells = branch.child(up, down)
+            fixed |= 1 << branch.members[0]
+        if not stack:
+            return color  # no branch above: the only leaf
+        code = tuple(sorted([color[lo] * n + color[hi] for lo, hi in hasse]))
+        if best is None or code < best:
+            best, best_color = code, color
+            best_path = [b.members[b.index] for b in stack]
+        elif code == best:
+            node_at = [0] * n
+            for x in range(n):
+                node_at[color[x]] = x
+            image = [node_at[best_color[x]] for x in range(n)]
+            if {(image[a], image[b]) for a, b in hasse} != set(hasse):
+                raise RuntimeError("equal canonical forms gave a non-automorphism")
+            automorphisms.append((sum(1 << x for x in range(n) if image[x] != x), image))
+            # below the branch where this leaf's path parts from the best
+            # leaf's, the automorphism maps the searched subtree onto this one
+            level = 0
+            while stack[level].members[stack[level].index] == best_path[level]:
+                level += 1
+            del stack[level + 1:]
+        while stack and not stack[-1].advance(automorphisms):
+            stack.pop()
+        if not stack:
+            return best_color
+        branch = stack[-1]
+        color, cells = branch.child(up, down)
+        fixed = branch.fixed | 1 << branch.members[branch.index]
 
 
-def _rank(keys: list) -> list[int]:
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [rank[k] for k in keys]
+def _refine(up, down, color: list[int], cells: list, queue: list[int]) -> None:
+    """Split cells in place until the ordered partition is equitable.
+
+    ``color[x]`` is the first position of x's cell and ``cells[s]`` lists the
+    members of the cell at position s.  Each cell in ``queue`` splits every
+    cell by the number of covers its members have in it, the pieces in order
+    of that number.  Cells hold nodes of one height, so a cell's members all
+    lie above the splitter, all below it or all beside it, and one count
+    serves both directions.
+    """
+    n = len(color)
+    queued = [False] * n
+    for s in queue:
+        queued[s] = True
+    open_cells, s = 0, 0  # cells of two or more nodes, which a splitter can split
+    while s < n:
+        open_cells += len(cells[s]) > 1
+        s += len(cells[s])
+    for w in queue:
+        if not open_cells:
+            return
+        queued[w] = False
+        count: dict[int, int] = {}
+        get = count.get
+        for x in cells[w]:
+            for y in down[x]:
+                count[y] = get(y, 0) + 1
+            for y in up[x]:
+                count[y] = get(y, 0) + 1
+        for s in sorted(set(map(color.__getitem__, count))):
+            members = cells[s]
+            if len(members) == 1:
+                continue
+            keys = [get(x, 0) for x in members]
+            distinct = set(keys)
+            if len(distinct) == 1:
+                continue
+            pieces = [[x for x, k in zip(members, keys) if k == key] for key in sorted(distinct)]
+            sizes = [len(piece) for piece in pieces]
+            largest = sizes.index(max(sizes))
+            open_cells += len(sizes) - sizes.count(1) - 1
+            was_queued, start = queued[s], s
+            for i, piece in enumerate(pieces):
+                cells[start] = piece
+                for x in piece:
+                    color[x] = start
+                # a queued cell's first piece keeps its place and the others
+                # join it; otherwise every piece but the largest joins, as
+                # counts into the largest follow from counts into the rest
+                if start != s if was_queued else i != largest:
+                    queued[start] = True
+                    queue.append(start)
+                start += len(piece)
+
+
+def _individualize(up, down, color: list[int], cells: list, s: int, v: int) -> tuple[list[int], list]:
+    """A copy of the partition with v split off the front of the cell at s, refined."""
+    color, cells = color[:], cells[:]
+    rest = [x for x in cells[s] if x != v]
+    cells[s], cells[s + 1] = [v], rest
+    for x in rest:
+        color[x] = s + 1
+    _refine(up, down, color, cells, [s])
+    return color, cells
 
 
 def refine(poset: Poset) -> tuple[int, ...]:
-    """Stable node coloring; isomorphic posets get identical color multisets."""
-    colors = _rank([
-        (poset.heights[x], poset.depths[x], len(poset.up[x]), len(poset.down[x]))
-        for x in range(poset.n)
-    ])
-    while True:
-        new_colors = _rank([
-            (
-                colors[x],
-                tuple(sorted(colors[y] for y in poset.up[x])),
-                tuple(sorted(colors[y] for y in poset.down[x])),
-            )
-            for x in range(poset.n)
-        ])
-        if new_colors == colors:
-            return tuple(colors)
-        colors = new_colors
+    """The equitable partition the canonical search starts from, as the rank
+    0..k-1 of each node's cell.
+
+    Cells start from (height, depth, up-degree, down-degree) and split until
+    every member of a cell has the same number of covers in each cell; an
+    isomorphism maps every node to a node of the same rank."""
+    n = poset.n
+    keys = list(zip(poset.heights, poset.depths, map(len, poset.up), map(len, poset.down)))
+    color = [0] * n
+    cells: list = [None] * n
+    queue = []
+    start, last = 0, None
+    for position, x in enumerate(sorted(range(n), key=keys.__getitem__)):
+        if keys[x] != last:
+            start, last = position, keys[x]
+            cells[start] = []
+            queue.append(start)
+        cells[start].append(x)
+        color[x] = start
+    # the seed's degrees already make counts into all nodes equal in each
+    # cell, so the largest cell need not split the others
+    if queue:
+        queue.remove(max(queue, key=lambda s: len(cells[s])))
+    _refine(poset.up, poset.down, color, cells, queue)
+    rank = {s: r for r, s in enumerate(sorted(set(color)))}
+    return tuple(rank[s] for s in color)
 
 
 def find_poset_isomorphism(
@@ -287,6 +407,10 @@ def find_poset_isomorphism(
     if image != set(q.hasse):
         raise RuntimeError("poset isomorphism search produced an invalid witness")
     return tuple(mapping)
+
+
+# the canonical form that digests hash: 2 is read off individualization-refinement
+DIGEST_VERSION = 2
 
 
 def canonical_form(poset: Poset, *, limits: Limits = DEFAULT_LIMITS) -> tuple:

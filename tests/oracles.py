@@ -13,8 +13,9 @@ sums Moebius values up the lattice's containment masks.
 The classification oracle is an exception: it is the per-subgroup
 classification that the one-per-conjugacy-class path replaced, run on
 every subgroup with the library's own isomorphism search.  So is the
-canonical-labeling oracle: it is the canonical search without automorphism
-pruning, which tries every order of tied nodes, on the library's refinement.
+canonical-labeling oracle: it is the individualization-refinement tree
+without the twin shortcut or automorphism pruning, which tries every member
+of every target cell, on the library's refinement.
 And so is the composition-factor oracle: it recurses on the smallest
 normal subgroup rebuilt as a group and on the quotient, with the library's
 ``normal_subgroups`` and ``coset_action``.
@@ -39,6 +40,7 @@ from isoposet import (
     normal_subgroups,
     refine,
 )
+from isoposet.poset import _individualize
 
 
 def tableless(group: FiniteGroup) -> FiniteGroup:
@@ -121,34 +123,38 @@ def oracle_poset_isomorphic(p: Poset, q: Poset) -> bool:
 
 
 def oracle_canonical_labeling(p: Poset) -> tuple[tuple, tuple[int, ...]]:
-    """``Poset._canonical_labeling`` without automorphism pruning: every
-    order of the nodes of least signature is tried at every position, and
-    the first full placement with the least form wins.  Factorial in twins,
-    so only for posets with few of them."""
+    """``Poset._canonical_labeling`` as the whole individualization-refinement
+    tree: every member of the target cell is split off in turn, twins
+    included, and no automorphism prunes a branch.  The first leaf with the
+    least form wins.  Factorial in twins, so only for posets with few."""
     n = p.n
     if n == 0:
         return (0, ()), ()
-    colors = refine(p)
-    best: tuple | None = None
-    best_placed: tuple[int, ...] = ()
+    ranks = refine(p)
+    leaves: list[tuple[tuple, list[int]]] = []
 
-    def search(placed: list[int], form: list[tuple[int, int, int]]) -> None:
-        nonlocal best, best_placed
-        if len(placed) == n:
-            if best is None or tuple(form) < best:
-                best, best_placed = tuple(form), tuple(placed)
+    def search(color: list[int]) -> None:
+        cells: dict[int, list[int]] = {}
+        for x in range(n):
+            cells.setdefault(color[x], []).append(x)
+        if len(cells) == n:
+            leaves.append((tuple(sorted((color[a], color[b]) for a, b in p.hasse)), color))
             return
-        position = {x: pos for pos, x in enumerate(placed)}
-        sigs = {c: (colors[c], sum(1 << position[x] for x in p.down[c] if x in position), 0)
-                for c in range(n) if c not in position}
-        least = min(sigs.values())
-        if best is not None and tuple(form) + (least,) > best[: len(form) + 1]:
-            return
-        for c in sorted(c for c, s in sigs.items() if s == least):
-            search(placed + [c], form + [least])
+        size = min(len(c) for c in cells.values() if len(c) > 1)
+        start = min(s for s, c in cells.items() if len(c) == size)
+        grid: list = [None] * n
+        for s, members in cells.items():
+            grid[s] = members
+        for v in cells[start]:
+            search(_individualize(p.up, p.down, color, grid, start, v)[0])
 
-    search([], [])
-    return (n, best), best_placed
+    # the root cells start at the count of nodes of lower rank
+    search([sum(r < ranks[x] for r in ranks) for x in range(n)])
+    form, color = min(leaves, key=lambda leaf: leaf[0])
+    placement = [0] * n
+    for x in range(n):
+        placement[color[x]] = x
+    return (n, form), tuple(placement)
 
 
 def relabeled(p: Poset, perm: list[int]) -> Poset:

@@ -60,6 +60,11 @@ def disjoint(copies: int, p: Poset) -> Poset:
                                      for k in range(copies) for a, b in p.hasse))
 
 
+def beside(p: Poset, q: Poset) -> Poset:
+    """p and q side by side, q's nodes numbered after p's."""
+    return Poset(p.n + q.n, p.hasse + tuple((a + p.n, b + p.n) for a, b in q.hasse))
+
+
 # a 4-crown wired as two disjoint 2x2 blocks: degree and height data match crown(4)
 CROWN_BLOCKS = Poset(8, ((0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)))
 
@@ -256,8 +261,13 @@ def small_posets(draw, max_nodes: int = 7) -> Poset:
 
 
 def assert_search_matches_oracle(p: Poset) -> None:
-    """The pruned search reaches the unpruned search's form by the same placement."""
-    assert Poset(p.n, p.hasse)._canonical_labeling == oracle_canonical_labeling(p)
+    """The pruned search finds the unpruned tree's least form, and its
+    placement realizes that form."""
+    form, placement = Poset(p.n, p.hasse)._canonical_labeling
+    assert form == oracle_canonical_labeling(p)[0]
+    assert sorted(placement) == list(range(p.n))
+    position = {x: k for k, x in enumerate(placement)}
+    assert form == (p.n, tuple(sorted((position[a], position[b]) for a, b in p.hasse)))
 
 
 @given(small_posets())
@@ -269,7 +279,10 @@ def test_canonical_labeling_matches_unpruned_search(p):
 SYMMETRIC_POSETS = {
     **{f"antichain{m}": antichain(m) for m in range(1, 8)},
     **{f"B{k}": boolean(k) for k in range(1, 5)},
-    "crown4": crown(4), "crown5": crown(5), "crown-blocks": CROWN_BLOCKS,
+    "crown4": crown(4), "crown5": crown(5), "crown10": crown(10), "crown-blocks": CROWN_BLOCKS,
+    # one cell holds the minimal nodes of both parts, whose subtrees differ,
+    # so an automorphism found in one part must not end the search
+    "crown4+blocks": beside(crown(4), CROWN_BLOCKS), "blocks+crown4": beside(CROWN_BLOCKS, crown(4)),
     "3xB2": disjoint(3, boolean(2)),
     **{f"divisors{n}": divisor_lattice(n) for n in (60, 360, 2520)},
 }
@@ -281,8 +294,8 @@ def test_canonical_labeling_matches_unpruned_search_on_symmetric_posets(name):
 
 
 def test_symmetric_posets_past_the_unpruned_reach():
-    # the unpruned search tries every order of twins and of symmetric
-    # blocks: 60! placements for antichain(60), 8! block orders for 8 x B2
+    # the unpruned tree tries every order of twins and of symmetric
+    # blocks: 60! leaves for antichain(60), 8! block orders for 8 x B2
     rng = random.Random(60)
     start = time.perf_counter()
     for p in (antichain(60), boolean(7), disjoint(8, boolean(2)), disjoint(5, boolean(3))):
@@ -293,8 +306,22 @@ def test_symmetric_posets_past_the_unpruned_reach():
         mapping = find_poset_isomorphism(p, q)
         assert sorted(mapping) == list(range(p.n))
         assert {(mapping[a], mapping[b]) for a, b in p.hasse} == set(q.hasse)
-    # about 0.2 s in all; the unpruned search runs past 20 s on B7 alone
+    # about 0.05 s in all
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("name,poset", [
+    ("crown10", crown(10)), ("crown30", crown(30)), ("antichain30", antichain(30)),
+    ("B7", boolean(7)),
+])
+def test_symmetric_posets_label_fast(name, poset):
+    # a few milliseconds each; no automorphism prunes a search that places
+    # a crown's minimal nodes before refinement tells them apart, and such
+    # a search grows about 9x per crown step
+    fresh = Poset(poset.n, poset.hasse)
+    start = time.perf_counter()
+    fresh._canonical_labeling
+    assert time.perf_counter() - start < 0.1
 
 
 def test_canonical_hash_separates_chain_and_antichain():

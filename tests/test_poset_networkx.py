@@ -6,6 +6,7 @@ reduce an order to the same covers as ``nx.transitive_reduction``.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -54,8 +55,8 @@ def check_pair(p: Poset, q: Poset) -> bool:
 
 
 # eight nodes at most, so networkx's matcher stays quick; the canonical
-# search skips placements that an automorphism covers, so an 8-node
-# antichain costs it one placement, not 8!
+# search splits a cell of twins in one step, so an 8-node antichain costs
+# it one leaf, not 8!
 @given(st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(orders(n), orders(n), st.permutations(range(n)))))
 @settings(max_examples=150, deadline=None)
@@ -65,6 +66,29 @@ def test_digest_matches_networkx_on_random_posets(drawn):
     assert set(p.hasse) == set(nx.transitive_reduction(order_p).edges)
     check_pair(p, q)
     assert check_pair(p, relabeled(p, list(perm)))
+
+
+def crowns(*sizes: int) -> Poset:
+    """Disjoint crowns: in crown(m), minimal node i is covered by maximal
+    nodes i and (i + 1) % m, one cycle through its 2m nodes; crown(2) is the
+    2x2 block."""
+    hasse, base = [], 0
+    for m in sizes:
+        hasse += [(base + i, base + m + j) for i in range(m) for j in {i, (i + 1) % m}]
+        base += 2 * m
+    return Poset(base, tuple(hasse))
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_digest_matches_networkx_on_crowns(m):
+    # every lookalike has the crown's degrees and heights at every node, so
+    # refinement alone cannot tell them apart
+    p = crowns(m)
+    perm = list(range(p.n))
+    random.Random(m).shuffle(perm)
+    assert check_pair(p, relabeled(p, perm))
+    for k in range(2, m // 2 + 1):
+        assert not check_pair(p, crowns(k, m - k))
 
 
 def test_digest_matches_networkx_on_catalog_class_posets(cache_dir):

@@ -319,7 +319,8 @@ def test_report_schema_keys():
     group = cyclic(6)
     iso = build_iso_poset(group)
     payload = report_dict(group=group, iso=iso, digest="x")
-    assert set(payload) == {"group", "poset", "digest", "claims"}
+    assert set(payload) == {"group", "poset", "digest", "digest_version", "claims"}
+    assert payload["digest_version"] == 2
     assert payload["group"] == {"name": "Z6", "order": 6, "degree": 6}
     node_keys = {"id", "label", "order", "shape", "class_size", "all_maximal"}
     assert all(set(node) == node_keys for node in payload["poset"]["nodes"])
@@ -389,7 +390,7 @@ def test_cli_verify_psl25(capsys, cache_dir):
 def test_cli_verify_json(capsys, cache_dir):
     assert main(["--format", "json", "verify", "remark", "--cache-dir", cache_dir]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"group", "poset", "digest", "claims"}
+    assert set(payload) == {"group", "poset", "digest", "digest_version", "claims"}
     assert [c["status"] for c in payload["claims"]] == ["verified"] * 3
 
 
