@@ -5,6 +5,11 @@ exactly when SOME member of the first is contained in SOME member of the
 second, evaluated over the complete subgroup lattice.  Checking containment
 only between class representatives would be wrong: representatives need not
 nest even when the relation holds.
+
+Recognition is lazy: a class that is not cyclic is compared with the
+catalog groups of its order in catalog order, cyclic specs skipped, up
+to the first that is isomorphic to it.  Each candidate is built when a
+class first reaches it, and kept once per spec and limits.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .catalog import catalog_for_order
+from .catalog import GroupSpec, catalog_for_order
 from .groupiso import classify_with_data, find_isomorphism
 from .invariants import Fingerprint, fingerprint
 from .limits import DEFAULT_LIMITS, Limits
@@ -65,13 +70,9 @@ class IsoPoset:
 
 
 @lru_cache(maxsize=None)
-def _recognition_candidates(order: int, limits: Limits,
-                            ) -> tuple[tuple[str, FiniteGroup, Fingerprint], ...]:
-    out = []
-    for spec in catalog_for_order(order).specs:
-        group = spec.build(limits=limits)
-        out.append((spec.name, group, fingerprint(group)))
-    return tuple(out)
+def _candidate(spec: GroupSpec, limits: Limits) -> tuple[FiniteGroup, Fingerprint]:
+    group = spec.build(limits=limits)
+    return group, fingerprint(group)
 
 
 def _label_for(fp: Fingerprint, rep: Subgroup, node_id: int, *,
@@ -81,9 +82,12 @@ def _label_for(fp: Fingerprint, rep: Subgroup, node_id: int, *,
     if recognize and dict(fp.order_histogram).get(fp.order):  # an element of full order: cyclic
         return f"Z{fp.order}"
     if recognize and fp.order <= limits.iso_cap:
-        for name, group, cfp in _recognition_candidates(fp.order, limits):
+        for spec in catalog_for_order(fp.order).specs:
+            if spec.kind == "cyclic":  # the class is not cyclic, so no cyclic spec matches
+                continue
+            group, cfp = _candidate(spec, limits)
             if cfp == fp and find_isomorphism(group, rep, limits=limits, fg=cfp, fh=fp):
-                return name
+                return spec.name
     return f"G{fp.order}.{node_id}"
 
 

@@ -135,6 +135,28 @@ def _power_walk(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...],
     return tuple(orders), tuple(inverses)
 
 
+class LeftCosets:
+    """The left cosets e*H of one subgroup H, labelled as joins meet them.
+
+    ``label[x]`` is the number of the coset that holds x, once that coset
+    has been gathered; ``cosets[k]`` is coset k's members, and coset 0 is
+    H.  ``gather(row)`` reads a row at H's members in one ``itemgetter``
+    call.  A labelling belongs to one group and one caller: joins fill it
+    in place.
+    """
+
+    __slots__ = ("label", "cosets", "gather")
+
+    def __init__(self, members: Sequence[int]) -> None:
+        self.label = dict.fromkeys(members, 0)
+        self.cosets = [tuple(members)]
+        if len(members) == 1:  # itemgetter of one index returns the item, not a tuple
+            h, = members
+            self.gather = lambda row: (row[h],)
+        else:
+            self.gather = itemgetter(*members)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite permutation group with every element enumerated.
@@ -255,31 +277,46 @@ class FiniteGroup:
         members.sort()
         return members
 
-    def join(self, members: Sequence[int], gens: Sequence[int], c: int,
+    def join(self, cosets: LeftCosets, gens: Sequence[int], c: int,
              stop_above: int | None = None) -> list[int] | None:
-        """Sorted element indices of <H, c> for the subgroup H = ``members``
-        generated by ``gens``, or None once it exceeds ``stop_above`` members.
+        """Sorted element indices of <H, c> for the subgroup H whose left
+        cosets are ``cosets``, generated by ``gens``, or None once it
+        exceeds ``stop_above`` members.
 
-        Dimino's closure: the join is grown as a union of whole cosets e*H,
-        each row e of :attr:`rows` read at H's members.  The union is
-        closed under left multiplication by every generator s once s*r
-        lies in it for each coset representative r, since then s*r*H is
-        one of its cosets.
+        Dimino's closure: the join is grown as a union of whole left
+        cosets e*H, walked by their labels.  The union is closed under
+        left multiplication by every generator s once s*r lies in it for
+        each coset representative r, since then s*r*H is one of its
+        cosets.  A coset not yet labelled is gathered once, as row e of
+        :attr:`rows` read at H's members, and every later join of H
+        reads it by label.
         """
         rows = self.rows
         gens = [*gens, c]
-        inside = set(members)
-        reps = [self.identity_index]
-        for r in reps:  # grows with each new coset, so every growth is checked
-            if stop_above is not None and len(inside) > stop_above:
+        label, found = cosets.label, cosets.cosets
+        most = None if stop_above is None else stop_above // len(found[0])  # cosets allowed
+        taken = [0]
+        inside = {0}
+        for k in taken:  # grows with each new coset, so every growth is checked
+            if most is not None and len(taken) > most:
                 return None
+            r = found[k][0]
             for s in gens:
                 e = rows[s][r]
-                if e not in inside:
-                    row = rows[e]
-                    inside.update([row[h] for h in members])
-                    reps.append(e)
-        return sorted(inside)
+                j = label.get(e)
+                if j is None:
+                    j = len(found)
+                    coset = cosets.gather(rows[e])
+                    found.append(coset)
+                    label.update(dict.fromkeys(coset, j))
+                if j not in inside:
+                    inside.add(j)
+                    taken.append(j)
+        out: list[int] = []
+        for k in taken:
+            out += found[k]
+        out.sort()
+        return out
 
     def normal_closure_indices(self, seed: Iterable[int],
                                conjugators: Sequence[int]) -> list[int]:
@@ -300,7 +337,7 @@ class FiniteGroup:
             for c in conjugators:
                 y = self.conjugate_index(g, c)
                 if y not in inside:
-                    members = self.join(members, gens, y, stop_above=half) or whole
+                    members = self.join(LeftCosets(members), gens, y, stop_above=half) or whole
                     gens.append(y)
                     inside = set(members)
         return members
@@ -308,12 +345,20 @@ class FiniteGroup:
     def greedy_generator_indices(self, members: Sequence[int]) -> tuple[int, ...]:
         """Small generating set of ``members``: repeatedly take the lowest
         member not yet generated, joining it onto the subgroup so far."""
+        ident = self.identity_index
         gens: list[int] = []
-        current = [self.identity_index]
+        current = [ident]
         covered = set(current)
         for m in members:
             if m not in covered:
-                current = self.join(current, gens, m)
+                if gens:
+                    current = self.join(LeftCosets(current), gens, m)
+                else:  # <m> is its powers, with no coset of the trivial group to label
+                    current, x = [ident], m
+                    while x != ident:
+                        current.append(x)
+                        x = self.rows[x][m]
+                    current.sort()
                 gens.append(m)
                 covered = set(current)
         return tuple(gens)
@@ -380,7 +425,7 @@ def closure_walk(identity: Hashable, gens: Iterable[Hashable],
         for move in moves:
             c = move[a]
             if columns[c] is None:
-                columns[c] = tuple([move[x] for x in column])
+                columns[c] = itemgetter(*column)(move)
     return elems, tuple(zip(*columns)), moves
 
 

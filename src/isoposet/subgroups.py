@@ -6,7 +6,12 @@ with every cyclic subgroup, keeps one representative per conjugacy class,
 joins each representative with one cyclic subgroup from each orbit under
 its own conjugation, and adds each new subgroup together with its orbit
 under conjugation by the generators.  Joins are closed coset by coset
-(Dimino's algorithm).
+(Dimino's algorithm), and all joins of one representative H share one
+labelling of H's left cosets.  Joins whose result is forced are skipped,
+by Lagrange: a subgroup of prime index in K is maximal in K, so once a
+join gives K with [K:H] prime, every cyclic subgroup of K outside H
+would join H to K again; and when [G:H] is prime, H's first join gives
+G and is its last.
 
 Normal structure needs no lattice: every normal subgroup is a join of
 normal closures of conjugacy classes, so ``normal_subgroups``,
@@ -22,12 +27,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .invariants import Fingerprint, _class_orbits, _orbits, derived_subgroup_indices, invariants
 from .limits import DEFAULT_LIMITS, Limits
-from .perm import FiniteGroup, Permutation, closure
+from .perm import FiniteGroup, LeftCosets, Permutation, closure
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,14 +231,16 @@ def _orbit(members: Sequence[int], gens: tuple[int, ...],
            conj_maps: Sequence[Sequence[int]]) -> _Orbit:
     """Every conjugate of the subgroup ``members`` generated by ``gens``, itself
     first; a conjugate's generators are ``gens`` under the same conjugation."""
+    if len(members) == 1:  # the trivial group, its own only conjugate
+        return [(tuple(members), gens)]
     orbit: dict[tuple[int, ...], tuple[int, ...]] = {}
     todo = [(members, gens)]
     for current, current_gens in todo:  # grows as new conjugates appear
         key = tuple(sorted(current))
         if key not in orbit:
             orbit[key] = current_gens
-            todo += [([cmap[i] for i in current], tuple(cmap[g] for g in current_gens))
-                     for cmap in conj_maps]
+            gather = itemgetter(*current)
+            todo += [(gather(cmap), tuple([cmap[g] for g in current_gens])) for cmap in conj_maps]
     return list(orbit.items())
 
 
@@ -244,15 +252,22 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
     # representative R, then <C1..Ci+1> = <R, Ci+1^(g^-1)>^g, a join tried.
     # Only the first cyclic subgroup of each orbit under conjugation by R is
     # joined: for h in R, <R, C^h> = <R, C>^h = <R, C>, so a join skipped
-    # would give a subgroup already known, and discovery order, class
-    # representatives and their generators do not change.
+    # would give a subgroup already known.  So would the joins that
+    # Lagrange forces: when a join gives K with [K:R] prime, no subgroup
+    # lies strictly between R and K, so every cyclic subgroup of K outside
+    # R joins R to K, and all of them are marked done; when K is G, that
+    # ends R's loop.  So discovery order, class representatives and their
+    # generators do not change.  All joins of R share one labelling of
+    # R's left cosets.
     n = group.order
+    rows = group.rows
     ident = group.identity_index
     half = n // 2
     full = tuple(range(n))
     conj_maps = group.conjugation_maps
+    primes = {p for p in range(2, n + 1) if n % p == 0 and order_shape(p) == (1,)}
 
-    # cyclic_of[i] is the mask of <i>; its generators i^e, gcd(e, k) = 1,
+    # cyclic_of[i] is first the mask of <i>; its generators i^e, gcd(e, k) = 1,
     # all share it, so only the least of them, met first, walks the powers
     cyclic_of = [0] * n
     cyclic_by_mask: dict[int, tuple[list[int], int]] = {}
@@ -262,14 +277,17 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
             j = i
             while j != ident:
                 members.append(j)
-                j = group.mult(j, i)
+                j = rows[j][i]
             mask = _mask(members)
             k = len(members)
-            for e in range(1, k):
+            for e in range(k):  # e = 0 counts only for the identity, where k = 1
                 if math.gcd(e, k) == 1:
                     cyclic_of[members[e]] = mask
             cyclic_by_mask[mask] = (members, i)
-    cyclics = sorted(cyclic_by_mask.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+    masks = sorted(cyclic_by_mask, key=lambda mask: (mask.bit_count(), mask))
+    cyclics = [cyclic_by_mask[mask] for mask in masks]  # (members, least generator)
+    number = {mask: c for c, mask in enumerate(masks)}
+    cyclic_of = [number[mask] for mask in cyclic_of]  # then the number of <i> in cyclics
 
     orbits: list[_Orbit] = []
     known: set[tuple[int, ...]] = set()
@@ -280,32 +298,36 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[_Orbit]:
         orbits.append(orbit)
 
     add_class([ident], ())
-    for _, (members, gen) in cyclics:
+    for members, gen in cyclics:
         if tuple(sorted(members)) not in known:
             add_class(members, (gen,))
     for orbit in orbits:  # grows as joins find new classes
         hmembers, hgens = orbit[0]
         if hmembers == full or not hgens:  # the trivial group's joins are the cyclics
             continue
-        hmask = _mask(hmembers)
-        done: set[int] = set()
-        for cmask, (_, cgen) in cyclics:
-            if cmask in done or cmask & hmask == cmask:
+        cosets = LeftCosets(hmembers)
+        by = [(rows[group.inverse_index(h)], h) for h in hgens]  # h^-1 x h is rows[left[x]][h]
+        done = set(itemgetter(*hmembers)(cyclic_of))  # R's own cyclic subgroups join to R
+        for c, (_, cgen) in enumerate(cyclics):
+            if c in done:
                 continue
-            done.add(cmask)
+            done.add(c)
             conjugates = [cgen]
-            for x in conjugates:  # grows along C's orbit under conjugation by H
-                for h in hgens:
-                    y = group.conjugate_index(x, h)
+            for x in conjugates:  # grows along C's orbit under conjugation by R
+                for left, h in by:
+                    y = rows[left[x]][h]
                     if cyclic_of[y] not in done:
                         done.add(cyclic_of[y])
                         conjugates.append(y)
-            result = group.join(hmembers, hgens, cgen, half)
-            if result is None:
+            result = group.join(cosets, hgens, cgen, half)
+            if result is None:  # past half of G, so G itself
+                result = full
                 if full not in known:
                     add_class(full, group.generator_indices())
             elif tuple(result) not in known:
                 add_class(result, group.greedy_generator_indices(result))
+            if len(result) // len(hmembers) in primes:  # R is maximal in the join
+                done.update(itemgetter(*result)(cyclic_of))
     if full not in known:
         add_class(full, group.generator_indices())
     return orbits

@@ -19,6 +19,9 @@ of every target cell, on the library's refinement.
 And so is the composition-factor oracle: it recurses on the smallest
 normal subgroup rebuilt as a group and on the quotient, with the library's
 ``normal_subgroups`` and ``coset_action``.
+And so is the enumeration oracle: it is cyclic extension as the library
+ran it before joins shared coset labels and skipped forced results, with
+every join a plain ``closure_indices``.
 """
 
 from __future__ import annotations
@@ -312,3 +315,86 @@ def oracle_composition_factors(group: FiniteGroup, *,
     factors += oracle_composition_factors(coset_action(group, smallest, limits=limits),
                                           limits=limits)
     return tuple(sorted(factors))
+
+
+def oracle_enumeration(group: FiniteGroup) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The conjugation orbits of ``_enumerate_subgroups``, by cyclic
+    extension with no join skipped: every orbit of cyclic subgroups under
+    each class representative H is joined to H, each join a plain closure
+    of H's generators and the cyclic generator, with no coset shared
+    between joins and no stop at a prime index.  Orbits are walked under
+    each distinct generator's conjugation, and generating sets are
+    greedy: the least member not yet generated, closed anew each time."""
+    n, ident = group.order, group.identity_index
+    half, full = n // 2, tuple(range(n))
+    conj = [[group.conjugate_index(x, g) for x in range(n)]
+            for g in dict.fromkeys(group.generator_indices())]
+
+    cyclic_of: dict[int, frozenset[int]] = {}  # <i>, by multiplying out its powers
+    cyclics: dict[frozenset[int], int] = {}  # each cyclic subgroup's least generator
+    for i in range(n):
+        members, x = {ident}, i
+        while x != ident:
+            members.add(x)
+            x = group.mult(x, i)
+        cyclic_of[i] = frozenset(members)
+        cyclics.setdefault(cyclic_of[i], i)
+    ordered = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sum(1 << x for x in kv[0])))
+
+    def orbit_of(members, gens):
+        orbit: dict = {}
+        todo = [(tuple(members), tuple(gens))]
+        for current, current_gens in todo:
+            key = tuple(sorted(current))
+            if key not in orbit:
+                orbit[key] = current_gens
+                todo += [(tuple(m[x] for x in current), tuple(m[g] for g in current_gens))
+                         for m in conj]
+        return list(orbit.items())
+
+    def greedy(members):
+        gens: list[int] = []
+        covered = {ident}
+        for m in members:
+            if m not in covered:
+                gens.append(m)
+                covered = set(group.closure_indices(gens))
+        return tuple(gens)
+
+    orbits: list = []
+    known: set = set()
+
+    def add(members, gens):
+        orbit = orbit_of(members, gens)
+        known.update(key for key, _ in orbit)
+        orbits.append(orbit)
+
+    add([ident], ())
+    for members, gen in ordered:
+        if tuple(sorted(members)) not in known:
+            add(sorted(members), (gen,))
+    for orbit in orbits:
+        hmembers, hgens = orbit[0]
+        if hmembers == full or not hgens:
+            continue
+        done: set = set()
+        for members, gen in ordered:
+            if members in done or members <= set(hmembers):
+                continue
+            done.add(members)
+            conjugates = [gen]
+            for x in conjugates:
+                for h in hgens:
+                    y = group.conjugate_index(x, h)
+                    if cyclic_of[y] not in done:
+                        done.add(cyclic_of[y])
+                        conjugates.append(y)
+            result = group.closure_indices([*hgens, gen], stop_above=half)
+            if result is None:
+                if full not in known:
+                    add(full, group.generator_indices())
+            elif tuple(result) not in known:
+                add(result, greedy(result))
+    if full not in known:
+        add(full, group.generator_indices())
+    return orbits

@@ -5,6 +5,7 @@ from isoposet import (
     alternating,
     are_isomorphic,
     build_iso_poset,
+    catalog_for_order,
     classposet,
     closure,
     cyclic,
@@ -86,15 +87,40 @@ def test_psl27_labels(psl27, psl27_lattice):
 def test_named_group_labels_its_top_class_without_recognition(call_counter):
     # the whole group's class takes the group's name; only an unnamed
     # group is recognized among the catalog groups of its order
-    calls = call_counter(classposet, "_recognition_candidates",
-                         key=lambda order, limits: order)
+    calls = call_counter(classposet, "_candidate", key=lambda spec, limits: spec.name)
+    order60 = {spec.name for spec in catalog_for_order(60).specs}
     group = psl2(5)
     assert build_iso_poset(group).nodes[-1].label == "PSL(2,5)"
-    assert calls[60] == 0
+    assert not order60 & set(calls)
     unnamed = closure(group.degree, group.generators)
     assert unnamed.name is None
     assert build_iso_poset(unnamed).nodes[-1].label == "A5"
-    assert calls[60] == 1
+    assert {name: n for name, n in calls.items() if name in order60} == {"A5": 1}
+
+
+@pytest.mark.parametrize("name, requested", [
+    ("PSL(2,5)", ["V4", "S3", "D10", "Z6xZ2", "D12", "A4"]),
+    ("PSL(2,7)", ["V4", "S3", "Z4xZ2", "Z2xZ2xZ2", "D8", "Z6xZ2", "D12", "A4", "F21",
+                  "Z12xZ2", "S4"]),
+])
+def test_recognition_builds_only_the_candidates_it_compares(call_counter, name, requested):
+    # a class is compared with the catalog groups of its order in catalog
+    # order, up to the first that is isomorphic to it; no cyclic spec is
+    # compared, since a cyclic class is named Zn before the catalog is read
+    calls = call_counter(classposet, "_candidate", key=lambda spec, limits: spec.name)
+    iso = build_iso_poset(group_from_name(name))
+    assert [n.label for n in iso.nodes] == {
+        "PSL(2,5)": ["1", "Z2", "Z3", "V4", "Z5", "S3", "D10", "A4", "PSL(2,5)"],
+        "PSL(2,7)": ["1", "Z2", "Z3", "V4", "Z4", "S3", "Z7", "D8", "A4", "F21", "S4",
+                     "PSL(2,7)"],
+    }[name]
+    assert list(calls) == requested and set(calls.values()) == {1}
+    compared = []
+    for node in iso.nodes[1:-1]:
+        specs = [s.name for s in catalog_for_order(node.order).specs if s.kind != "cyclic"]
+        if node.label in specs:
+            compared += specs[:specs.index(node.label) + 1]
+    assert compared == requested
 
 
 def test_downset_of_top_is_whole_poset(a5, a5_lattice):

@@ -178,8 +178,9 @@ def test_only_limits_raises_a_cap_error():
 # is kept by that run, cap errors included
 MEMOS = {
     ("catalog", "_catalog_table"): "the curated catalog file, parsed once per process",
-    ("classposet", "_recognition_candidates"):
-        "the catalog groups a class label is recognized against, built once per order and limits",
+    ("classposet", "_candidate"):
+        "a catalog group and its fingerprint that class labels are compared with, built "
+        "once per spec and limits, and only when a class of its order reaches it",
 }
 
 

@@ -40,6 +40,7 @@ from isoposet import (
 )
 from isoposet.catalog import catalog_for_order, catalog_specs, group_from_name
 from isoposet.invariants import conjugacy_classes, invariants
+from isoposet.perm import LeftCosets
 from isoposet.subgroups import _every_group_cyclic
 
 from oracles import (
@@ -47,6 +48,7 @@ from oracles import (
     oracle_composition_factors,
     oracle_conjugacy_classes,
     oracle_containment,
+    oracle_enumeration,
     oracle_eulerian,
     oracle_moebius,
     oracle_right_cosets,
@@ -184,18 +186,56 @@ def test_invariants_without_parent_table_walk_the_parent_powers_once(call_counte
 
 
 def test_enumeration_work_count_psl27(call_counter):
-    # a deterministic count, so it guards the cost without a timing bound:
-    # one join per conjugacy-class representative and orbit of cyclic
-    # subgroups under it (229), and one join per generator that the greedy
-    # generating set of each class found by a join adds (18)
+    # a deterministic count, so it guards the cost without a timing bound.
+    # One join per conjugacy-class representative R and orbit of cyclic
+    # subgroups under R is 229, less the joins that Lagrange forces: both
+    # classes of S4 have prime index 7, so each stops after its first join
+    # (10 fewer), and where a join gives K with [K:R] prime, the cyclic
+    # subgroups of K are not joined with R again (23 fewer), so the
+    # enumeration makes 196 joins, each stopping above half of G (84).  The
+    # greedy generating set of each of the 9 classes found by a join has 2
+    # generators: the first one's powers are walked, and the second adds
+    # one join with no stop (9).
     group = psl2(7)
     closures = call_counter(FiniteGroup, "closure_indices")
-    joins = call_counter(FiniteGroup, "join")
+    joins = call_counter(FiniteGroup, "join",
+                         key=lambda self, cosets, gens, c, stop_above=None: stop_above)
     orbits = subgroups._enumerate_subgroups(group)
     assert len(orbits) == 15
     assert sum(map(len, orbits)) == 179
-    assert joins["join"] <= 247
+    assert joins == {84: 196, None: 9}
     assert closures["closure_indices"] == 0
+
+
+@pytest.mark.parametrize("name, table", [
+    *[(name, True) for name in ["A4", "S4", "D12", "Z2xZ2xZ2xZ2", "PSL(2,7)"]],
+    *[(spec.name, True) for spec in catalog_for_order(60).specs],
+    ("A5", False), ("S4", False),
+], ids=lambda v: {True: "table", False: "no-table"}.get(v, v))
+def test_enumeration_matches_the_unpruned_loop(call_counter, name, table):
+    # shared coset labels and the joins skipped at a prime index change
+    # no orbit: members, generators and discovery order all match the loop
+    # that joins every orbit of cyclic subgroups with a plain closure
+    group = _named(name, table)
+    half = group.order // 2
+    joins = call_counter(FiniteGroup, "join",
+                         key=lambda self, cosets, gens, c, stop_above=None: (tuple(gens), stop_above))
+    orbits = subgroups._enumerate_subgroups(group)
+    plain = call_counter(FiniteGroup, "closure_indices",
+                         key=lambda self, seed, stop_above=None: (tuple(seed[:-1]), stop_above))
+    assert orbits == oracle_enumeration(group)
+    stopped = 0
+    for (hmembers, hgens), *_ in orbits:
+        if not hgens or len(hmembers) == group.order:
+            continue
+        made, unpruned = joins[hgens, half], plain[hgens, half]
+        assert made <= unpruned
+        if group.order // len(hmembers) in {2, 3, 5, 7}:  # [G:H] prime: one join
+            assert made == 1
+            stopped += unpruned > 1
+    assert sum(joins[key] for key in joins if key[1] == half) \
+        < sum(plain[key] for key in plain if key[1] == half)
+    assert stopped or name == "A4"  # A4's V4 meets its Z3s in one orbit, so one join anyway
 
 
 @pytest.mark.parametrize("name, table", [
@@ -207,15 +247,21 @@ def test_coset_join_matches_closure(name, table):
     results = set()
     for orbit in subgroups._enumerate_subgroups(group):
         hmembers, hgens = orbit[0]
+        cosets = LeftCosets(hmembers)  # shared by H's joins, as the enumeration shares it
         for c in range(group.order):  # every cyclic subgroup, several times
-            joined = group.join(hmembers, hgens, c, stop_above=half)
+            joined = group.join(cosets, hgens, c, stop_above=half)
             expected = sorted(oracle_closure(group, [*hgens, c]))
             if len(expected) > half:
                 assert joined is None
             else:
                 assert joined == expected
-            assert group.join(hmembers, hgens, c) == expected
+            assert group.join(LeftCosets(hmembers), hgens, c) == expected
             results.add(None if joined is None else len(joined))
+        # each labelled coset is the left coset of its first member
+        for k, coset in enumerate(cosets.cosets):
+            assert sorted(coset) == sorted(group.mult(coset[0], h) for h in hmembers)
+            assert {cosets.label[x] for x in coset} == {k}
+        assert len(cosets.label) == len(cosets.cosets) * len(hmembers)
     assert None in results and len(results) > 2
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,6 +17,7 @@ from isoposet import (
     is_simple,
     normal_subgroups,
     perm,
+    psl2,
     subgroups,
     verify,
 )
@@ -52,6 +55,25 @@ def test_copies_maximal_realizes_one_subgroup_per_class(cache_dir, call_counter)
         "copies_checked": {"12": 5, "10": 6, "6": 10}
     }
     assert calls["find_isomorphism"] == 3
+
+
+def test_labels_and_claims_agree_across_threads():
+    # the recognition memo starts empty, so four threads race to fill it;
+    # every label and claim status must match a run made alone
+    def run(_=None):
+        labels = [node.label for node in build_iso_poset(psl2(7)).nodes]
+        return labels, [(c.claim_id, c.status) for c in verify_psl25()]
+
+    serial = run()
+    classposet._candidate.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so more interleavings are tried
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, range(4), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * 4
 
 
 def test_verify_psl27_statuses(cache_dir):
