@@ -85,6 +85,8 @@ def psl2(q: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """
     if q not in (5, 7):
         raise ValueError(f"unsupported field size {q}; expected 5 or 7")
+    name = f"PSL(2,{q})"
+    limits.check(name, element_cap=q * (q * q - 1) // 2, degree_cap=q + 1)
     inf = q
     shift = Permutation(tuple((x + 1) % q for x in range(q)) + (inf,))
     neg_inv = [0] * (q + 1)
@@ -92,11 +94,12 @@ def psl2(q: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     neg_inv[inf] = 0
     for x in range(1, q):
         neg_inv[x] = (-pow(x, q - 2, q)) % q
-    return closure(q + 1, [shift, Permutation(tuple(neg_inv))], limits=limits, name=f"PSL(2,{q})")
+    return closure(q + 1, [shift, Permutation(tuple(neg_inv))], limits=limits, name=name)
 
 
 def sl2_5(*, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """SL(2,5) acting on the 24 nonzero vectors of F5^2."""
+    limits.check("SL(2,5)", element_cap=120, degree_cap=24)
     vecs = [(a, b) for a in range(5) for b in range(5) if (a, b) != (0, 0)]
     index = {v: i for i, v in enumerate(vecs)}
     # column action of [[1,1],[0,1]] and [[0,-1],[1,0]]

@@ -14,7 +14,6 @@ class first reaches it, and kept once per spec and limits.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -96,7 +95,6 @@ def build_iso_poset(
     *,
     lattice: SubgroupLattice | None = None,
     limits: Limits = DEFAULT_LIMITS,
-    cache_dir: str | os.PathLike | None = None,
     recognize: bool = True,
 ) -> IsoPoset:
     """Construct the subgroup-class poset of a group.
@@ -104,10 +102,11 @@ def build_iso_poset(
     The class of the whole group is labelled with the group's name when it
     has one.  With ``recognize``, the other classes are named where they
     are recognized (Zn, or a catalog group of their order) and are
-    ``G<order>.<id>`` otherwise.
+    ``G<order>.<id>`` otherwise.  A caller with a cache dir passes the
+    lattice that ``all_subgroups`` reads from it.
     """
     if lattice is None:
-        lattice = all_subgroups(group, limits=limits, cache_dir=cache_dir)
+        lattice = all_subgroups(group, limits=limits)
     classes = classify_with_data(group, lattice, limits=limits)
     k = len(classes)
 

@@ -107,8 +107,8 @@ def _cmd_group(args) -> int:
             print(f"{group.name}: order {group.order}, degree {group.degree}, "
                   f"{len(group.generators)} generators")
         return 0
+    lattice = all_subgroups(group, limits=args.caps, cache_dir=args.cache_dir)
     if args.action == "subgroups":
-        lattice = all_subgroups(group, limits=args.caps, cache_dir=args.cache_dir)
         counts = Counter(s.order for s in lattice.subgroups)
         if args.format == "json":
             payload = report_dict(group=group, subgroup_count=len(lattice),
@@ -119,7 +119,7 @@ def _cmd_group(args) -> int:
             for order in sorted(counts):
                 print(f"  order {order}: {counts[order]}")
         return 0
-    iso = build_iso_poset(group, limits=args.caps, cache_dir=args.cache_dir)
+    iso = build_iso_poset(group, lattice=lattice, limits=args.caps)
     digest = canonical_hash(iso.to_poset(), limits=args.caps)
     if args.format == "dot":
         print(poset_dot(iso), end="")
@@ -139,10 +139,11 @@ def _cmd_group(args) -> int:
 def _cmd_poset_iso(args) -> int:
     group_a = group_from_name(args.spec_a, limits=args.caps)
     group_b = group_from_name(args.spec_b, limits=args.caps)
-    poset_a = build_iso_poset(group_a, limits=args.caps, cache_dir=args.cache_dir,
-                              recognize=False)
-    poset_b = build_iso_poset(group_b, limits=args.caps, cache_dir=args.cache_dir,
-                              recognize=False)
+    poset_a, poset_b = [
+        build_iso_poset(group, lattice=all_subgroups(group, limits=args.caps,
+                                                     cache_dir=args.cache_dir),
+                        limits=args.caps, recognize=False)
+        for group in (group_a, group_b)]
     witness = find_poset_isomorphism(poset_a.to_poset(), poset_b.to_poset(),
                                      limits=args.caps)
     digests = [canonical_hash(poset_a.to_poset(), limits=args.caps),
@@ -171,12 +172,7 @@ def _cmd_verify(args) -> int:
         if len(args.groups) != 2:
             print("verify lemma needs exactly two group names", file=sys.stderr)
             return 2
-        claims = verify_lemma(
-            group_from_name(args.groups[0], limits=args.caps),
-            group_from_name(args.groups[1], limits=args.caps),
-            limits=args.caps,
-            cache_dir=args.cache_dir,
-        )
+        claims = verify_lemma(*args.groups, limits=args.caps, cache_dir=args.cache_dir)
     else:
         if args.groups:
             print(f"verify {args.target} takes no group names", file=sys.stderr)

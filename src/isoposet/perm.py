@@ -244,38 +244,50 @@ class FiniteGroup:
         """Index of each generator: the identity times it, read off its move."""
         return tuple([move[self.identity_index] for move in self.moves])
 
-    def closure_indices(
-        self, seed: Iterable[int], stop_above: int | None = None
-    ) -> list[int] | None:
-        """Sorted element indices of the subgroup generated by ``seed``.
+    def _generate(self, seed: Iterable[int], stop_above: int | None = None,
+                  conjugators: Sequence[int] = ()) -> tuple[list[int] | None, list[int]]:
+        """(sorted element indices, generators) of the least subgroup that
+        contains ``seed`` and is normalized by every element of
+        ``conjugators``; the members are None once they exceed
+        ``stop_above``.
 
-        Returns None as soon as the partial closure exceeds ``stop_above``
-        members; by Lagrange any subgroup larger than |G|/2 is G itself,
-        which is what callers use this for.
+        One fold: the seed, then the conjugates of each new generator, are
+        taken in turn, and each one not yet inside becomes a generator.
+        The first generator's powers are walked, as there is no coset of
+        the trivial group worth labelling; each later one is joined on
+        through :meth:`join`, at least doubling the subgroup.  The
+        subgroup is normalized once each generator's conjugates lie in it.
         """
-        gens = [g for g in dict.fromkeys(seed) if g != self.identity_index]
-        if not gens:
-            return [self.identity_index]
-        rows = self.rows
-        seen = bytearray(self.order)
-        seen[self.identity_index] = 1
-        members = [self.identity_index]
-        frontier = [self.identity_index]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                row = rows[x]
-                for g in gens:
-                    y = row[g]
-                    if not seen[y]:
-                        seen[y] = 1
-                        nxt.append(y)
-            members += nxt
-            if stop_above is not None and len(members) > stop_above:
-                return None
-            frontier = nxt
-        members.sort()
-        return members
+        ident = self.identity_index
+        gens: list[int] = []
+        members, inside = [ident], {ident}
+        queue = list(seed)
+        for x in queue:  # grows with the conjugates of each new generator
+            if x in inside:
+                continue
+            if gens:
+                members = self.join(LeftCosets(members), gens, x, stop_above)
+                if members is None:
+                    return None, gens
+            else:
+                row, y = self.rows[x], x
+                while y != ident:
+                    members.append(y)
+                    y = row[y]
+                members.sort()
+                if stop_above is not None and len(members) > stop_above:
+                    return None, gens
+            gens.append(x)
+            inside = set(members)
+            queue += [self.conjugate_index(x, c) for c in conjugators]
+        return members, gens
+
+    def closure_indices(self, seed: Iterable[int],
+                        stop_above: int | None = None) -> list[int] | None:
+        """Sorted element indices of the subgroup generated by ``seed``, or
+        None once it exceeds ``stop_above`` members; by Lagrange any
+        subgroup larger than |G|/2 is G itself."""
+        return self._generate(seed, stop_above)[0]
 
     def join(self, cosets: LeftCosets, gens: Sequence[int], c: int,
              stop_above: int | None = None) -> list[int] | None:
@@ -322,46 +334,14 @@ class FiniteGroup:
                                conjugators: Sequence[int]) -> list[int]:
         """Sorted element indices of the least subgroup that contains
         ``seed`` and is normalized by every element of ``conjugators``.
-
-        Only the generators found so far are conjugated: the closure is
-        normalized once each generator's conjugates lie in it, and every
-        conjugate that does not is joined onto it as a new generator, at
-        least doubling it.  A closure past half the group is the whole
-        group, by Lagrange.
-        """
-        gens = [g for g in dict.fromkeys(seed) if g != self.identity_index]
-        half, whole = self.order // 2, list(range(self.order))
-        members = self.closure_indices(gens, stop_above=half) or whole
-        inside = set(members)
-        for g in gens:  # grows as conjugates escape
-            for c in conjugators:
-                y = self.conjugate_index(g, c)
-                if y not in inside:
-                    members = self.join(LeftCosets(members), gens, y, stop_above=half) or whole
-                    gens.append(y)
-                    inside = set(members)
-        return members
+        A closure past half the group is the whole group, by Lagrange."""
+        return (self._generate(seed, self.order // 2, conjugators)[0]
+                or list(range(self.order)))
 
     def greedy_generator_indices(self, members: Sequence[int]) -> tuple[int, ...]:
         """Small generating set of ``members``: repeatedly take the lowest
         member not yet generated, joining it onto the subgroup so far."""
-        ident = self.identity_index
-        gens: list[int] = []
-        current = [ident]
-        covered = set(current)
-        for m in members:
-            if m not in covered:
-                if gens:
-                    current = self.join(LeftCosets(current), gens, m)
-                else:  # <m> is its powers, with no coset of the trivial group to label
-                    current, x = [ident], m
-                    while x != ident:
-                        current.append(x)
-                        x = self.rows[x][m]
-                    current.sort()
-                gens.append(m)
-                covered = set(current)
-        return tuple(gens)
+        return tuple(self._generate(members)[1])
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:

@@ -91,11 +91,10 @@ def subgroup_generated_by(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
 def subgroup_from_members(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
     """Wrap an element-index set as a Subgroup, checking it really is one."""
     members = tuple(sorted(set(_indices(group, members))))
-    gens = group.greedy_generator_indices(members)
-    closed = tuple(group.closure_indices(list(members)))
-    if closed != members:
+    closed, gens = group._generate(members)
+    if tuple(closed) != members:
         raise ValueError("member set is not closed under multiplication")
-    return Subgroup(group, members, gens)
+    return Subgroup(group, members, tuple(gens))
 
 
 def conjugate_subgroup(group: FiniteGroup, sub: Subgroup, g: int) -> Subgroup:

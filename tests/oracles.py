@@ -20,8 +20,9 @@ And so is the composition-factor oracle: it recurses on the smallest
 normal subgroup rebuilt as a group and on the quotient, with the library's
 ``normal_subgroups`` and ``coset_action``.
 And so is the enumeration oracle: it is cyclic extension as the library
-ran it before joins shared coset labels and skipped forced results, with
-every join a plain ``closure_indices``.
+ran it before joins shared coset labels and skipped forced results, but
+every join and every greedy generating set is closed by ``oracle_closure``,
+so it shares no join code with the library.
 """
 
 from __future__ import annotations
@@ -164,14 +165,17 @@ def relabeled(p: Poset, perm: list[int]) -> Poset:
     return Poset(p.n, tuple(sorted((perm[a], perm[b]) for a, b in p.hasse)))
 
 
-def oracle_closure(group: FiniteGroup, seed) -> frozenset[int]:
-    """Element indices of <seed>, by multiplying until nothing new appears."""
+def oracle_closure(group: FiniteGroup, seed, stop_above=None) -> frozenset[int] | None:
+    """Element indices of <seed>, by multiplying until nothing new appears,
+    or None if there are more than ``stop_above`` of them."""
     members = {group.identity_index}
     frontier = list(members)
     while frontier:
         new = {group.mult(x, s) for x in frontier for s in seed} - members
         members |= new
         frontier = list(new)
+    if stop_above is not None and len(members) > stop_above:
+        return None
     return frozenset(members)
 
 
@@ -358,7 +362,7 @@ def oracle_enumeration(group: FiniteGroup) -> list[list[tuple[tuple[int, ...], t
         for m in members:
             if m not in covered:
                 gens.append(m)
-                covered = set(group.closure_indices(gens))
+                covered = oracle_closure(group, gens)
         return tuple(gens)
 
     orbits: list = []
@@ -389,12 +393,12 @@ def oracle_enumeration(group: FiniteGroup) -> list[list[tuple[tuple[int, ...], t
                     if cyclic_of[y] not in done:
                         done.add(cyclic_of[y])
                         conjugates.append(y)
-            result = group.closure_indices([*hgens, gen], stop_above=half)
+            result = oracle_closure(group, [*hgens, gen], stop_above=half)
             if result is None:
                 if full not in known:
                     add(full, group.generator_indices())
-            elif tuple(result) not in known:
-                add(result, greedy(result))
+            elif (joined := tuple(sorted(result))) not in known:
+                add(joined, greedy(joined))
     if full not in known:
         add(full, group.generator_indices())
     return orbits

@@ -41,6 +41,12 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
+def _cached_poset(group, cache_dir, *, recognize=True):
+    """The class poset of ``group``, over its lattice read through ``cache_dir``."""
+    return build_iso_poset(group, lattice=all_subgroups(group, cache_dir=cache_dir),
+                           recognize=recognize)
+
+
 def test_criterion_01_orders_and_closure_time():
     times = {}
     t0 = time.perf_counter()
@@ -163,14 +169,13 @@ def test_criterion_08_downset_law_up_to_100(cache_dir):
     nodes = 0
     for spec in catalog_specs(max_order=100):
         group = spec.build()
-        poset = build_iso_poset(group, cache_dir=cache_dir, recognize=False)
+        poset = _cached_poset(group, cache_dir, recognize=False)
         groups += 1
         for node in poset.nodes:
             nodes += 1
             side = downset(poset, node.node_id).to_poset()
-            standalone = build_iso_poset(
-                node.rep.as_group(), cache_dir=cache_dir, recognize=False
-            ).to_poset()
+            standalone = _cached_poset(node.rep.as_group(), cache_dir,
+                                       recognize=False).to_poset()
             if find_poset_isomorphism(side, standalone) is None:
                 failures.append((spec.name, node.node_id))
     _report(8, not failures,
@@ -183,11 +188,11 @@ def test_criterion_09_scan_results(cache_dir):
     target = canonical_hash(p5_poset.to_poset())
     matches = []
     for spec in catalog_for_order(60).specs:
-        poset = build_iso_poset(spec.build(), cache_dir=cache_dir, recognize=False)
+        poset = _cached_poset(spec.build(), cache_dir, recognize=False)
         if canonical_hash(poset.to_poset()) == target:
             matches.append(spec.name)
-    z6 = build_iso_poset(cyclic(6), cache_dir=cache_dir).to_poset()
-    z15 = build_iso_poset(cyclic(15), cache_dir=cache_dir).to_poset()
+    z6 = _cached_poset(cyclic(6), cache_dir).to_poset()
+    z15 = _cached_poset(cyclic(15), cache_dir).to_poset()
     collide = canonical_hash(z6) == canonical_hash(z15)
     shapes_match = sorted(
         n.shape for n in build_iso_poset(cyclic(6)).nodes
@@ -203,7 +208,7 @@ def test_criterion_10_property_suites(cache_dir):
 
     # poset axioms on every class poset built here
     for name in ("Z12", "S4", "D10", "Dic3", "A5", "F21"):
-        iso = build_iso_poset(group_from_name(name), cache_dir=cache_dir)
+        iso = _cached_poset(group_from_name(name), cache_dir)
         k = len(iso)
         for i in range(k):
             if not iso.leq(i, i):

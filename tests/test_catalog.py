@@ -202,25 +202,30 @@ def test_moves_are_the_table_columns():
 
 def test_named_groups_respect_the_degree_cap(call_counter, psl27, psl27_lattice):
     # each refused before a permutation of it is built: Z11, D22 and Z11:Z5
-    # act on 11 points and Dic3 on 12
+    # act on 11 points, Dic3 on 12, SL(2,5) on 24 and PSL(2,7) on 8; past
+    # both caps, the order is named first
     closures = call_counter(isoposet.catalog, "closure")
     small = Limits(degree_cap=10)
-    for build in (lambda: cyclic(11, limits=small), lambda: dihedral(22, limits=small),
-                  lambda: dicyclic(3, limits=small),
-                  lambda: semidirect_cyclic(11, 5, limits=small)):
-        with pytest.raises(ResourceLimitError, match="degree cap 10"):
+    for build, refusal in (
+            (lambda: cyclic(11, limits=small), "degree cap 10"),
+            (lambda: dihedral(22, limits=small), "degree cap 10"),
+            (lambda: dicyclic(3, limits=small), "degree cap 10"),
+            (lambda: semidirect_cyclic(11, 5, limits=small), "degree cap 10"),
+            (lambda: sl2_5(limits=Limits(degree_cap=23)), "degree cap 23"),
+            (lambda: psl2(7, limits=Limits(degree_cap=7)), "degree cap 7"),
+            (lambda: psl2(5, limits=Limits(element_cap=59)), "element cap 59"),
+            (lambda: psl2(7, limits=Limits(element_cap=167, degree_cap=7)), "element cap 167"),
+            (lambda: sl2_5(limits=Limits(element_cap=119, degree_cap=23)), "element cap 119")):
+        with pytest.raises(ResourceLimitError, match=rf"\({refusal}\)$"):
             build()
     assert closures["closure"] == 0
     assert cyclic(10, limits=small).degree == 10
     # closure checks the degree itself, so no group is built past the cap:
-    # PSL(2,7) acts on 8 points and SL(2,5) on 24, a copy of A5 in A5xA5 on
-    # 10, A5xA5 over that copy on its 60 cosets, and recognizing PSL(2,7)'s
-    # classes builds Z12 on 12
+    # a copy of A5 in A5xA5 acts on 10 points, A5xA5 over that copy on its
+    # 60 cosets, and recognizing PSL(2,7)'s classes builds Z12 on 12
     product = direct_product(alternating(5), alternating(5))
     left = subgroup_generated_by(product, product.generator_indices()[:2])
-    for build, cap in ((lambda limits: psl2(7, limits=limits), 7),
-                       (lambda limits: sl2_5(limits=limits), 23),
-                       (lambda limits: left.as_group(limits=limits), 5),
+    for build, cap in ((lambda limits: left.as_group(limits=limits), 5),
                        (lambda limits: composition_factors(product, limits=limits), 50),
                        (lambda limits: build_iso_poset(psl27, lattice=psl27_lattice,
                                                        limits=limits), 8)):

@@ -6,7 +6,9 @@ every field of ``Limits`` is a cap that refuses work.
 Only two process-wide tables are ``functools`` memos; a verify run keeps
 its own groups, lattices and class posets.
 Every public function has a caller in the library or the benchmark, bar
-a few named ones."""
+a few named ones.  ``FiniteGroup.join`` has exactly two callers: the fold
+``FiniteGroup._generate``, through which closures, normal closures and
+greedy generators all grow, and ``subgroups._enumerate_subgroups``."""
 
 import ast
 import dataclasses
@@ -236,3 +238,29 @@ def test_memo_scan_sees_decorators_calls_and_aliases():
 def test_only_two_process_tables_are_functools_memos():
     found = set().union(*(_memo_uses(p.stem, p.read_text("utf-8")) for p in MODULES))
     assert found == set(MEMOS)
+
+
+def _join_callers(path: Path) -> set[tuple[str, str]]:
+    """(module, enclosing ``Class.function`` or function) of every
+    ``.join(`` call in the module at ``path`` whose receiver is not a
+    string literal, so that ``", ".join`` is left out."""
+    callers = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join" and not isinstance(node.func.value, ast.Constant)):
+            callers.add((path.stem, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text("utf-8")), "<module>")
+    return callers
+
+
+def test_only_the_fold_and_the_enumeration_join():
+    # closures, normal closures and greedy generators all grow through
+    # the one fold; cyclic extension joins with its own shared labelling
+    assert set().union(*map(_join_callers, MODULES + BENCH)) == {
+        ("perm", "FiniteGroup._generate"), ("subgroups", "_enumerate_subgroups")}

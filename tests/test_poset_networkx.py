@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoposet import Poset, build_iso_poset, canonical_hash, find_poset_isomorphism
+from isoposet import Poset, all_subgroups, build_iso_poset, canonical_hash, find_poset_isomorphism
 from isoposet.catalog import catalog_specs
 
 from oracles import relabeled
@@ -92,8 +92,9 @@ def test_digest_matches_networkx_on_crowns(m):
 
 
 def test_digest_matches_networkx_on_catalog_class_posets(cache_dir):
-    posets = [build_iso_poset(spec.build(), cache_dir=cache_dir).to_poset()
-              for spec in catalog_specs()]
+    groups = [spec.build() for spec in catalog_specs()]
+    posets = [build_iso_poset(g, lattice=all_subgroups(g, cache_dir=cache_dir)).to_poset()
+              for g in groups]
     assert len(posets) == 53
     isomorphic_pairs = 0
     for p, q in itertools.combinations(posets, 2):

@@ -4,6 +4,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoposet import (
     FiniteGroup,
@@ -43,6 +45,7 @@ from isoposet.invariants import conjugacy_classes, invariants
 from isoposet.perm import LeftCosets
 from isoposet.subgroups import _every_group_cyclic
 
+import oracles
 from oracles import (
     oracle_closure,
     oracle_composition_factors,
@@ -221,8 +224,8 @@ def test_enumeration_matches_the_unpruned_loop(call_counter, name, table):
     joins = call_counter(FiniteGroup, "join",
                          key=lambda self, cosets, gens, c, stop_above=None: (tuple(gens), stop_above))
     orbits = subgroups._enumerate_subgroups(group)
-    plain = call_counter(FiniteGroup, "closure_indices",
-                         key=lambda self, seed, stop_above=None: (tuple(seed[:-1]), stop_above))
+    plain = call_counter(oracles, "oracle_closure",
+                         key=lambda group, seed, stop_above=None: (tuple(seed[:-1]), stop_above))
     assert orbits == oracle_enumeration(group)
     stopped = 0
     for (hmembers, hgens), *_ in orbits:
@@ -295,6 +298,40 @@ def test_generators_and_normal_closures_match_oracles(name, table):
         assert group.greedy_generator_indices(sub.members) == greedy_oracle(sub.members)
         assert (group.normal_closure_indices(sub.gens, conjugators)
                 == normal_closure_oracle(sub.gens)), sub.members
+
+
+_GROWN = [_named(name, table) for name, table in
+          [("A4", True), ("S4", True), ("PSL(2,7)", True), ("A5", False), ("S4", False)]]
+
+
+@st.composite
+def growth_cases(draw):
+    """A group, a seed and conjugators of up to four of its elements, and
+    a stop that is None or some subgroup size."""
+    group = draw(st.sampled_from(_GROWN))
+    element = st.integers(min_value=0, max_value=group.order - 1)
+    return (group, draw(st.lists(element, max_size=4)), draw(st.lists(element, max_size=4)),
+            draw(st.none() | st.integers(min_value=1, max_value=group.order)))
+
+
+@given(growth_cases())
+@settings(max_examples=150, deadline=None)
+def test_growth_by_joins_matches_the_closure_oracle(case):
+    # closures, normal closures and greedy generators are one fold of
+    # joins; the oracle multiplies until nothing new appears
+    group, seed, conjugators, stop = case
+    closed = oracle_closure(group, seed)
+    expected = None if stop is not None and len(closed) > stop else sorted(closed)
+    assert group.closure_indices(seed, stop_above=stop) == expected
+    normal = closed
+    while not (conjugates := {group.conjugate_index(x, c)
+                              for x in normal for c in conjugators}) <= normal:
+        normal = oracle_closure(group, normal | conjugates)
+    assert group.normal_closure_indices(seed, conjugators) == sorted(normal)
+    gens = group.greedy_generator_indices(sorted(closed))
+    for k, g in enumerate(gens):  # the least member outside the span so far
+        assert g == min(closed - oracle_closure(group, gens[:k]))
+    assert oracle_closure(group, gens) == closed
 
 
 def test_lattice_contains_trivial_and_full(a5_lattice):

@@ -245,10 +245,14 @@ def test_composition_factors_read_no_lattice():
 
 
 def test_a_group_past_the_element_cap_is_walked_once(call_counter):
-    # the run keeps the cap error of PSL(2,7) and hands it to each claim
+    # the run keeps the cap error of PSL(2,7) and hands it to each claim;
+    # psl2 checks the order before it builds a permutation, so the one try
+    # is a single cap check, and PSL(2,7) is never walked
+    checks = call_counter(Limits, "check", key=lambda self, subject, **sizes: subject)
     walks = call_counter(perm, "closure_walk", key=lambda *args, **kwargs: kwargs["subject"])
     claims = verify_psl27(limits=Limits(element_cap=100))
-    assert walks["PSL(2,7)"] == 1
+    assert checks["PSL(2,7)"] == 1
+    assert walks["PSL(2,7)"] == 0
     assert [c.status for c in claims] == [SKIPPED] * 6
     trio = ("psl27.no-maximal-order-15", "psl27.composition-factors")
     for claim in claims:
@@ -425,6 +429,17 @@ def test_cli_verify_lemma_nonisomorphic_pair(capsys, cache_dir):
 
 def test_cli_verify_lemma_needs_two_groups(capsys):
     assert main(["verify", "lemma", "Z6"]) == 2
+
+
+def test_cli_verify_lemma_skips_a_group_past_a_cap(capsys):
+    # the names go to verify_lemma, which reports a cap error as skipped
+    # claims, as in the library; a name that parses to no group is an error
+    assert main(["verify", "lemma", "Z2049", "Z3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[skipped]") == 4
+    assert out.count("Z2049 has more than 2048 points (degree cap 2048)") == 4
+    assert main(["verify", "lemma", "Bogus", "Z3"]) == 2
+    assert "unrecognized group name 'Bogus'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["psl25", "psl27", "remark", "all"])
