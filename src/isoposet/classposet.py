@@ -9,7 +9,10 @@ nest even when the relation holds.
 Recognition is lazy: a class that is not cyclic is compared with the
 catalog groups of its order in catalog order, cyclic specs skipped, up
 to the first that is isomorphic to it.  Each candidate is built when a
-class first reaches it, and kept once per spec and limits.
+class first reaches it, and kept once per spec and limits.  An abelian
+class is isomorphic to a candidate with an equal fingerprint, since
+finite abelian groups with equally many elements of each order are
+isomorphic; any other class is searched.
 """
 
 from __future__ import annotations
@@ -85,7 +88,9 @@ def _label_for(fp: Fingerprint, rep: Subgroup, node_id: int, *,
             if spec.kind == "cyclic":  # the class is not cyclic, so no cyclic spec matches
                 continue
             group, cfp = _candidate(spec, limits)
-            if cfp == fp and find_isomorphism(group, rep, limits=limits, fg=cfp, fh=fp):
+            # abelian groups with equal element-order counts are isomorphic
+            if cfp == fp and (fp.abelian or find_isomorphism(group, rep, limits=limits,
+                                                             fg=cfp, fh=fp)):
                 return spec.name
     return f"G{fp.order}.{node_id}"
 

@@ -5,6 +5,13 @@ order/class-size compatible elements of the other, extending each partial
 assignment to the generated subgroup and rejecting on any collision.  A
 successful assignment is re-verified as a bijective homomorphism on every
 element pair before it is returned.  A subgroup is searched in its parent.
+
+Only classification here, and class labels in ``classposet``, answer
+without a search, where a theorem gives the answer: finite abelian
+groups are isomorphic iff they have equally many elements of each order,
+so abelian subgroups with equal fingerprints are one class.
+``find_isomorphism`` and ``are_isomorphic`` always search, since the
+one returns a witness and the other stands for one.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .invariants import Fingerprint, _class_orbits, _invariants
+from .invariants import Fingerprint, _abelian_invariants, _class_orbits, _commute, _invariants
 from .limits import DEFAULT_LIMITS, Limits
 from .perm import FiniteGroup
 from .subgroups import Subgroup, SubgroupLattice, _view
@@ -29,9 +36,10 @@ class GroupIso:
     mapping: tuple[int, ...]
 
 
-def _element_keys(group: FiniteGroup, classes: list[tuple[int, ...]]) -> dict[int, tuple[int, int]]:
+def _element_keys(group: FiniteGroup, members: Sequence[int],
+                  classes: list[tuple[int, ...]]) -> dict[int, tuple[int, int]]:
     # (element order, conjugacy class size): both preserved by isomorphisms
-    orders = group.element_orders
+    orders = group._powers_of(members)[0]
     return {x: (orders[x], len(cls)) for cls in classes for x in cls}
 
 
@@ -111,12 +119,9 @@ def _search_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup,
     """:func:`find_isomorphism` between two sides of one order and one
     fingerprint, given each side's conjugacy classes."""
     (gp, gm, _), (hp, hm, _) = _view(g), _view(h)
-    if len(gm) == 1:
-        return GroupIso((), (), (hp.identity_index,))
-
     sources = list(gp.greedy_generator_indices(gm))
-    keys_g = _element_keys(gp, gclasses)
-    keys_h = _element_keys(hp, hclasses)
+    keys_g = _element_keys(gp, gm, gclasses)
+    keys_h = _element_keys(hp, hm, hclasses)
     candidates = [[j for j in hm if keys_h[j] == keys_g[s]] for s in sources]
 
     images: list[int] = []
@@ -134,7 +139,8 @@ def _search_isomorphism(g: FiniteGroup | Subgroup, h: FiniteGroup | Subgroup,
             images.pop()
         return None
 
-    gmap = search(0)
+    # the trivial group has no generator, and the identity is its image
+    gmap = search(0) if sources else _pair_closure(gp, hp, [], [])
     if gmap is None:
         return None
     mapping = [gmap[x] for x in gm]
@@ -161,23 +167,36 @@ def classify_with_data(
     lowest-index member.  Conjugate subgroups are isomorphic, so only the
     lowest-index member of each conjugacy class is fingerprinted, in the
     parent as :func:`invariants` does, and its class inherits the result.
-    Representatives that share a fingerprint are compared in the parent.
+    Finite abelian groups are isomorphic iff they have equally many
+    elements of each order, so an abelian fingerprint is one class.
+    Other representatives that share a fingerprint are compared in the
+    parent.
     """
     if lattice.parent is not group:
         raise ValueError("lattice does not belong to this group")
     conjugates: dict[int, list[int]] = {}
     for idx, cls in enumerate(lattice.class_of):
         conjugates.setdefault(cls, []).append(idx)
-    # each representative's classes are walked once, for its fingerprint
-    # and for every comparison it takes part in
+    # each non-abelian representative's classes are walked once, for its
+    # fingerprint and for every comparison it takes part in
     walked: dict[int, list[tuple[int, ...]]] = {}
     buckets: dict[Fingerprint, list[list[int]]] = {}
     for orbit in conjugates.values():  # ordered by least member
         rep = lattice.subgroups[orbit[0]]
-        walked[orbit[0]] = _class_orbits(group, rep.members, rep.gens)
-        buckets.setdefault(_invariants(group, rep.gens, walked[orbit[0]]), []).append(orbit)
+        if _commute(group, rep.gens):
+            fp = _abelian_invariants(group, rep.members)
+        else:
+            walked[orbit[0]] = _class_orbits(group, rep.members, rep.gens)
+            fp = _invariants(group, rep.gens, walked[orbit[0]])
+        buckets.setdefault(fp, []).append(orbit)
     out: list[tuple[tuple[int, ...], Fingerprint, int]] = []
     for fp, orbits in buckets.items():
+        if fp.abelian:  # one class, by the theorem, under the same cap as a search
+            if len(orbits) > 1:
+                limits.check("subgroup", iso_cap=fp.order)
+            merged = [idx for orbit in orbits for idx in orbit]
+            out.append((tuple(sorted(merged)), fp, merged[0]))
+            continue
         classes: list[list[int]] = []  # each led by its least subgroup index
         for orbit in orbits:
             sub = lattice.subgroups[orbit[0]]

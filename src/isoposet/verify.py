@@ -503,8 +503,11 @@ def scan(orders: list[int], *, limits: Limits = DEFAULT_LIMITS,
             poset_a = run.poset(name_a, recognize=False)
             poset_b = run.poset(name_b, recognize=False)
             shapes_match = sorted(poset_a.shapes()) == sorted(poset_b.shapes())
-            try:
-                isomorphic = are_isomorphic(run.group(name_a), run.group(name_b), limits=limits)
+            try:  # each whole group's fingerprint is its top class's
+                isomorphic = find_isomorphism(
+                    run.group(name_a), run.group(name_b), limits=limits,
+                    fg=poset_a.nodes[poset_a.top].fp, fh=poset_b.nodes[poset_b.top].fp,
+                ) is not None
             except ResourceLimitError:
                 isomorphic = None
             pairs.append({

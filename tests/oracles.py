@@ -10,9 +10,11 @@ containment oracle tests every pair of member sets, the coset oracle
 multiplies every subgroup member by every element, the product oracle
 closes the padded generators as permutations, and the Eulerian oracle
 sums Moebius values up the lattice's containment masks.
-The classification oracle is an exception: it is the per-subgroup
-classification that the one-per-conjugacy-class path replaced, run on
-every subgroup with the library's own isomorphism search.  So is the
+The fingerprint oracle orders every member by its cycles, conjugates by
+every member and closes every commutator.  The classification oracle is
+an exception: it runs the library's own isomorphism search on every pair
+of conjugacy-class representatives, with no shortcut for abelian groups,
+and labels each class with the fingerprint oracle.  So is the
 canonical-labeling oracle: it is the individualization-refinement tree
 without the twin shortcut or automorphism pruning, which tries every member
 of every target cell, on the library's refinement.
@@ -30,10 +32,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 from isoposet import (
     DEFAULT_LIMITS,
     FiniteGroup,
+    Fingerprint,
     Limits,
     Permutation,
     Poset,
@@ -234,24 +238,52 @@ def oracle_containment(lattice) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     return supersets, maximal
 
 
-def oracle_classify(group: FiniteGroup, lattice) -> list[tuple[tuple[int, ...], object, int]]:
-    """Isomorphism classes with every subgroup realized, fingerprinted and
-    tested on its own, in the triple format of ``classify_with_data``."""
-    realized = [s.as_group() for s in lattice.subgroups]
-    buckets: dict = {}
-    for idx, grp in enumerate(realized):
-        buckets.setdefault(fingerprint(grp), []).append(idx)
+def oracle_fingerprint(group: FiniteGroup, members) -> Fingerprint:
+    """Fingerprint of the subgroup ``members`` of ``group``: element orders
+    from cycle lengths, classes from conjugation by every member, the
+    centre from every pair, and [H, H] closed from every commutator."""
+    members = list(members)
+    orders = [oracle_order(group.elements[x]) for x in members]
+
+    def conjugate(x, g):
+        return group.mult(group.mult(group.inverse_index(g), x), g)
+
+    classes = {frozenset(conjugate(x, g) for g in members) for x in members}
+    center = [x for x in members if all(group.mult(x, g) == group.mult(g, x) for g in members)]
+    derived = oracle_closure(group, {group.mult(group.inverse_index(a), conjugate(a, b))
+                                     for a in members for b in members})  # a^-1 b^-1 a b
+    return Fingerprint(
+        order=len(members),
+        abelian=len(center) == len(members),
+        exponent=math.lcm(*orders),
+        order_histogram=tuple(sorted(Counter(orders).items())),
+        center_size=len(center),
+        derived_size=len(derived),
+        class_sizes=tuple(sorted(map(len, classes))),
+    )
+
+
+def oracle_classify(group: FiniteGroup, lattice) -> list[tuple[tuple[int, ...], Fingerprint, int]]:
+    """Isomorphism classes in the triple format of ``classify_with_data``:
+    ``find_isomorphism`` on every pair of conjugacy-class representatives,
+    abelian or not, each class labelled with :func:`oracle_fingerprint`."""
+    conjugates: dict[int, list[int]] = {}
+    for idx, cls in enumerate(lattice.class_of):
+        conjugates.setdefault(cls, []).append(idx)
+    reps = [orbit[0] for orbit in conjugates.values()]
+    subs = lattice.subgroups
+    same = {r: {r} for r in reps}
+    for a, b in itertools.combinations(reps, 2):
+        if find_isomorphism(subs[a], subs[b]) is not None:
+            same[a].add(b)
+            same[b].add(a)
     out = []
-    for fp, indices in buckets.items():
-        classes: list[list[int]] = []
-        for idx in indices:
-            for cls in classes:
-                if find_isomorphism(realized[cls[0]], realized[idx]) is not None:
-                    cls.append(idx)
-                    break
-            else:
-                classes.append([idx])
-        out += [(tuple(cls), fp, cls[0]) for cls in classes]
+    for cls in {frozenset(found) for found in same.values()}:
+        assert all(same[r] == cls for r in cls), "isomorphism is not transitive"
+        fps = {oracle_fingerprint(group, subs[r].members) for r in cls}
+        assert len(fps) == 1, "isomorphic subgroups with different fingerprints"
+        members = sorted(idx for r in cls for idx in conjugates[lattice.class_of[r]])
+        out.append((tuple(members), fps.pop(), members[0]))
     out.sort(key=lambda cls: (cls[1], cls[0]))
     return out
 

@@ -1,9 +1,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoposet import (
     FiniteGroup,
+    Fingerprint,
     Limits,
     Permutation,
     ResourceLimitError,
@@ -26,7 +29,13 @@ from isoposet import (
 from isoposet import groupiso, perm
 from isoposet.catalog import catalog_specs
 from isoposet.groupiso import _is_isomorphism, classify_with_data
-from isoposet.invariants import conjugacy_classes, invariants
+from isoposet.invariants import (
+    _class_orbits,
+    _commute,
+    _invariants,
+    conjugacy_classes,
+    invariants,
+)
 from isoposet.subgroups import Subgroup
 
 from oracles import (
@@ -328,11 +337,175 @@ def test_classify_rejects_foreign_lattice(a5):
         classify(a5, all_subgroups(other))
 
 
-def test_classify_matches_per_subgroup_oracle(cache_dir):
-    for spec in catalog_specs(max_order=168):
+def test_classify_matches_the_pairwise_oracle(cache_dir):
+    # the 53 catalog lattices, each representative pair searched
+    specs = catalog_specs()
+    assert len(specs) == 53
+    for spec in specs:
         group = spec.build()
         lattice = all_subgroups(group, cache_dir=cache_dir)
         assert classify_with_data(group, lattice) == oracle_classify(group, lattice), spec.name
+
+
+@pytest.mark.parametrize("name", ["PSL(2,5)", "PSL(2,7)", "SL(2,5)", "S5", "A5xZ2"])
+def test_classify_matches_the_pairwise_oracle_on_the_papers_groups(name, cache_dir, request):
+    group = {"PSL(2,5)": "psl25", "PSL(2,7)": "psl27", "SL(2,5)": "sl25"}.get(name)
+    group = request.getfixturevalue(group) if group else group_from_name(name)
+    lattice = all_subgroups(group, cache_dir=cache_dir)
+    assert classify_with_data(group, lattice) == oracle_classify(group, lattice)
+
+
+@pytest.mark.parametrize("build", [alternating, symmetric], ids=["A5", "S4"])
+def test_classify_matches_the_pairwise_oracle_without_a_table(build):
+    group = tableless(build(5 if build is alternating else 4))
+    lattice = all_subgroups(group)
+    assert classify_with_data(group, lattice) == oracle_classify(group, lattice)
+
+
+def _classes_by_order_alone(monkeypatch, group, lattice):
+    """The partition classify gives when every abelian representative's
+    fingerprint keeps only its order: a mutant that merges abelian
+    buckets by order alone."""
+    def order_only(parent, members):
+        return Fingerprint(len(members), True, 0, (), len(members), 1, ())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groupiso, "_abelian_invariants", order_only)
+        classes = classify_with_data(group, lattice)
+    return sorted(members for members, _, _ in classes)
+
+
+def test_the_pairwise_oracle_refuses_abelian_classes_merged_by_order(monkeypatch, cache_dir):
+    # Z4 and V4 (in S4, D8, Z4xZ2) share an order but not their element
+    # orders; a classification that merged them would fail the oracle
+    for name in ("S4", "D8", "Z4xZ2", "Z2xZ2xZ2xZ2"):
+        group = group_from_name(name)
+        lattice = all_subgroups(group, cache_dir=cache_dir)
+        oracle = sorted(members for members, _, _ in oracle_classify(group, lattice))
+        assert sorted(members for members, _, _ in classify_with_data(group, lattice)) == oracle
+        if name != "Z2xZ2xZ2xZ2":  # elementary abelian: one class per order either way
+            assert _classes_by_order_alone(monkeypatch, group, lattice) != oracle, name
+
+
+def test_abelian_fingerprints_by_formula_equal_the_walked_ones(psl25, psl27, sl25, cache_dir):
+    # every abelian subgroup of the 53 catalog lattices and of the paper's
+    # five groups: the formula reads element orders only; the walk takes
+    # conjugacy classes and the derived subgroup's normal closure
+    groups = [spec.build() for spec in catalog_specs()]
+    groups += [psl25, psl27, sl25, group_from_name("S5"), group_from_name("A5xZ2")]
+    checked = 0
+    for group in groups:
+        for sub in all_subgroups(group, cache_dir=cache_dir).subgroups:
+            if not _commute(group, sub.gens):
+                continue
+            walked = _invariants(group, sub.gens, _class_orbits(group, sub.members, sub.gens))
+            assert walked.abelian, (group.name, sub.members)
+            assert invariants(group, sub.members, sub.gens) == walked, (group.name, sub.members)
+            checked += 1
+    assert checked == 1360
+
+
+def _elementary_divisors(factors):
+    """The prime powers of a product of cyclic groups of these orders, as
+    a sorted list: two such products are isomorphic iff these agree."""
+    out = []
+    for m in factors:
+        p = 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def _factorizations(n, least=2):
+    """Every nondecreasing list of factors above 1 with product n."""
+    if n == 1:
+        return [[]]
+    return [[f, *rest] for f in range(least, n + 1) if n % f == 0
+            for rest in _factorizations(n // f, f)]
+
+
+def _cyclic_product(factors):
+    group = cyclic(factors[0])
+    for m in factors[1:]:
+        group = direct_product(group, cyclic(m))
+    return group
+
+
+@st.composite
+def cyclic_product_pairs(draw):
+    n = draw(st.sampled_from([4, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48]))
+    shapes = _factorizations(n)
+    return [draw(st.permutations(draw(st.sampled_from(shapes)))) for _ in range(2)]
+
+
+@given(cyclic_product_pairs())
+@settings(max_examples=60, deadline=None)
+def test_cyclic_products_are_isomorphic_iff_their_fingerprints_agree(pair):
+    # the theorem classify and class labels rest on, against elementary
+    # divisors and the search: equal element-order counts, isomorphic
+    g, h = map(_cyclic_product, pair)
+    same = _elementary_divisors(pair[0]) == _elementary_divisors(pair[1])
+    for group in (g, h):
+        walked = _invariants(group, group.generator_indices(), conjugacy_classes(group))
+        assert fingerprint(group) == walked
+    assert (fingerprint(g) == fingerprint(h)) == same
+    assert (find_isomorphism(g, h) is not None) == same
+
+
+def test_cyclic_products_with_unequal_and_equal_histograms():
+    # fixed cases both ways, so that neither depends on a draw
+    assert fingerprint(_cyclic_product([4, 2])) != fingerprint(_cyclic_product([2, 2, 2]))
+    assert fingerprint(_cyclic_product([4, 4])) != fingerprint(_cyclic_product([8, 2]))
+    assert fingerprint(_cyclic_product([6, 2])) == fingerprint(_cyclic_product([2, 3, 2]))
+    assert find_isomorphism(_cyclic_product([6, 2]), _cyclic_product([2, 3, 2])) is not None
+
+
+def test_the_trivial_group_is_checked_like_any_other(call_counter):
+    # its one mapping, identity to identity, goes through the same check
+    # as every other witness
+    checks = call_counter(groupiso, "_is_isomorphism")
+    s3 = symmetric(3)
+    iso = find_isomorphism(cyclic(1), subgroup_generated_by(s3, []))
+    assert iso == groupiso.GroupIso((), (), (s3.identity_index,))
+    assert checks["_is_isomorphism"] == 1
+
+
+def test_classify_work_over_the_catalog(cache_dir, call_counter):
+    # 383 of the 497 class representatives of the 53 catalog lattices are
+    # abelian: no class walk, and no search in their buckets.  The other
+    # 114 are walked once each, and 19 pairs of them share a fingerprint
+    # bucket and are searched (497 walks and 100 searches without the
+    # theorem)
+    lattices = [(group, all_subgroups(group, cache_dir=cache_dir))
+                for group in (spec.build() for spec in catalog_specs())]
+    walks = call_counter(groupiso, "_class_orbits")
+    searches = call_counter(groupiso, "_search_isomorphism")
+    for group, lattice in lattices:
+        classify_with_data(group, lattice)
+    assert sum(len(set(lattice.class_of)) for _, lattice in lattices) == 497
+    assert walks["_class_orbits"] == 114
+    assert searches["_search_isomorphism"] == 19
+
+
+def test_an_abelian_bucket_past_the_iso_cap_is_refused():
+    # S4's two classes of V4 share one abelian bucket: merging them is a
+    # comparison of order 4, refused under an iso cap of 3 as a search
+    # would be; a bucket of one class, such as each of Z8's, compares
+    # nothing and is never refused
+    s4 = symmetric(4)
+    lattice = all_subgroups(s4)
+    with pytest.raises(ResourceLimitError, match="subgroup has more than 3 elements"):
+        classify_with_data(s4, lattice, limits=Limits(iso_cap=3))
+    assert classify_with_data(s4, lattice, limits=Limits(iso_cap=4)) == \
+        classify_with_data(s4, lattice)
+    z8 = cyclic(8)
+    assert len(classify_with_data(z8, all_subgroups(z8), limits=Limits(iso_cap=1))) == 4
 
 
 def test_classify_realizes_one_subgroup_per_conjugacy_class(psl27, psl27_lattice, call_counter):
@@ -347,12 +520,15 @@ def test_classify_realizes_one_subgroup_per_conjugacy_class(psl27, psl27_lattice
 
 def test_classify_walks_each_representatives_classes_once(psl27, psl27_lattice, call_counter):
     # the classes walked for a representative's fingerprint also key its
-    # isomorphism searches: 15 walks for PSL(2,7)'s 15 representatives
+    # isomorphism searches.  7 of PSL(2,7)'s 15 representatives are abelian
+    # (orders 1, 2, 3, 7 and the cyclic 4 and two classes of V4), whose
+    # fingerprints are read off their element orders with no walk, so 8
+    # walks for the other 8
     walks = call_counter(groupiso, "_class_orbits",
                          key=lambda parent, members, gens: tuple(members))
     classify_with_data(psl27, psl27_lattice)
-    assert sum(walks.values()) == 15
-    assert len(walks) == 15
+    assert sum(walks.values()) == 8
+    assert len(walks) == 8
 
 
 def test_classify_reads_element_data_from_the_parent(call_counter):

@@ -8,7 +8,10 @@ its own groups, lattices and class posets.
 Every public function has a caller in the library or the benchmark, bar
 a few named ones.  ``FiniteGroup.join`` has exactly two callers: the fold
 ``FiniteGroup._generate``, through which closures, normal closures and
-greedy generators all grow, and ``subgroups._enumerate_subgroups``."""
+greedy generators all grow, and ``subgroups._enumerate_subgroups``.
+Only classification and class labels decide isomorphism without a
+search, by the theorem on abelian groups; every isomorphism that
+``find_isomorphism`` returns is re-checked by ``_is_isomorphism``."""
 
 import ast
 import dataclasses
@@ -264,3 +267,61 @@ def test_only_the_fold_and_the_enumeration_join():
     # the one fold; cyclic extension joins with its own shared labelling
     assert set().union(*map(_join_callers, MODULES + BENCH)) == {
         ("perm", "FiniteGroup._generate"), ("subgroups", "_enumerate_subgroups")}
+
+
+def _attribute_reads(path: Path, attr: str) -> set[tuple[str, str]]:
+    """(module, enclosing function) of every ``.<attr>`` read in the module
+    at ``path``."""
+    reads = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            reads.add((path.stem, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text("utf-8")), "<module>")
+    return reads
+
+
+def test_only_classification_and_labels_skip_the_search_for_abelian_groups():
+    # finite abelian groups with equal element-order counts are isomorphic;
+    # only these two answers are names and partitions, with no witness
+    assert set().union(*(_attribute_reads(p, "abelian") for p in MODULES)) == {
+        ("groupiso", "classify_with_data"), ("classposet", "_label_for")}
+
+
+def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def test_every_isomorphism_found_is_checked():
+    # find_isomorphism answers None or the search's result, the search
+    # builds the only GroupIso, and the statement before it raises unless
+    # _is_isomorphism accepts the mapping
+    tree = ast.parse(next(p for p in MODULES if p.stem == "groupiso").read_text("utf-8"))
+    returns = [node.value for node in ast.walk(_function(tree, "find_isomorphism"))
+               if isinstance(node, ast.Return)]
+    assert returns and all(
+        (isinstance(value, ast.Constant) and value.value is None)
+        or _calls(value, "_search_isomorphism") for value in returns)
+    built = {(p.stem, function) for p in MODULES
+             for node in ast.walk(ast.parse(p.read_text("utf-8")))
+             if isinstance(node, ast.FunctionDef)
+             for function in [node.name]
+             for sub in ast.walk(node) if _calls(sub, "GroupIso")}
+    assert built == {("groupiso", "_search_isomorphism")}
+    body = _function(tree, "_search_isomorphism").body
+    last, check = body[-1], body[-2]
+    assert isinstance(last, ast.Return) and _calls(last.value, "GroupIso")
+    assert (isinstance(check, ast.If) and isinstance(check.test, ast.UnaryOp)
+            and isinstance(check.test.op, ast.Not) and _calls(check.test.operand, "_is_isomorphism")
+            and isinstance(check.body[0], ast.Raise))

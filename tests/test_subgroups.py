@@ -177,15 +177,19 @@ def test_as_group_without_parent_table_orders_only_its_elements(call_counter):
 
 
 def test_invariants_without_parent_table_walk_the_parent_powers_once(call_counter):
-    # the left A5 of A5xA5 fingerprinted in its tableless parent reads its
-    # element orders from the parent's one walk of all 3600 elements, and
-    # a second subgroup reads the same walk
+    # the left A5 and the diagonal of A5xA5 fingerprinted in their
+    # tableless parent, which has not walked its 3600 elements: each walks
+    # the powers of its 60 members once for their orders, and of its 2
+    # generators once, for the commutators and for the normal closure
+    # that gives the derived subgroup; no walk covers the parent
     product, diagonal, left = _a5_squared_copies()
     expected = fingerprint(alternating(5))
-    walks = call_counter(perm, "_power_walk", key=lambda rows, n: n)
+    walks = call_counter(perm, "_power_walk",
+                         key=lambda rows, n, points=None: n if points is None else len(points))
     assert invariants(product, left.members, left.gens) == expected
     assert invariants(product, diagonal.members, diagonal.gens) == expected
-    assert walks == {3600: 1}
+    assert walks == {60: 2, 2: 2}
+    assert "_powers" not in vars(product)
 
 
 def test_enumeration_work_count_psl27(call_counter):

@@ -13,6 +13,7 @@ from isoposet import (
     classposet,
     composition_factors,
     cyclic,
+    fingerprint,
     group_from_name,
     is_simple,
     normal_subgroups,
@@ -158,6 +159,26 @@ def test_scan_realizes_no_subgroup(cache_dir, call_counter):
     calls = call_counter(subgroups.Subgroup, "as_group")
     scan(orders, cache_dir=cache_dir)
     assert calls["as_group"] == 0
+
+
+def test_scan_pairs_reuse_each_groups_top_fingerprint(cache_dir, monkeypatch):
+    # a colliding pair's groups are compared with the fingerprints of their
+    # top classes, which classification already took, so neither whole
+    # group is fingerprinted again
+    calls = []
+    search = verify.find_isomorphism
+
+    def spy(g, h, **kwargs):
+        calls.append((g, h, kwargs))
+        return search(g, h, **kwargs)
+
+    monkeypatch.setattr(verify, "find_isomorphism", spy)
+    report = scan([12, 20, 60], cache_dir=cache_dir)
+    pairs = [p for c in report.collisions for p in c["pairs"]]
+    assert len(calls) == len(pairs) > 0
+    for g, h, kwargs in calls:
+        assert (kwargs["fg"], kwargs["fh"]) == (fingerprint(g), fingerprint(h))
+    assert [p["isomorphic"] for p in pairs] == [False] * len(pairs)
 
 
 def test_verify_remark(cache_dir):
