@@ -125,24 +125,16 @@ def _least_multiplier(n: int, m: int) -> int:
     raise ValueError(f"no multiplier has order {m} mod {n}")
 
 
-def semidirect_cyclic(n: int, m: int, k: int | None = None, *,
-                      limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+def semidirect_cyclic(n: int, m: int, *, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Zn semidirect Zm on n points, generated by x -> x+1 and x -> k*x mod n.
 
-    Requires k to have multiplicative order exactly m mod n, which makes the
-    action faithful and the group order n*m; k defaults to the least such
-    multiplier.
+    k is the least multiplier of multiplicative order exactly m mod n,
+    which makes the action faithful and the group order n*m.
     """
     if n < 2 or m < 1:
         raise ValueError(f"invalid semidirect parameters n={n}, m={m}")
     limits.check(f"Z{n}:Z{m}", element_cap=n * m, degree_cap=n)
-    if k is None:
-        k = _least_multiplier(n, m)
-    if gcd(k, n) != 1:
-        raise ValueError(f"multiplier {k} is not invertible mod {n}")
-    ord_k = _multiplicative_order(k, n)
-    if ord_k != m:
-        raise ValueError(f"multiplier {k} has order {ord_k} mod {n}, expected {m}")
+    k = _least_multiplier(n, m)
     shift = Permutation(tuple((i + 1) % n for i in range(n)))
     mul = Permutation(tuple(i * k % n for i in range(n)))
     return closure(n, [shift, mul], limits=limits, name=f"Z{n}:Z{m}")
@@ -323,11 +315,9 @@ def catalog_for_order(n: int) -> OrderCatalog:
     return entry
 
 
-def catalog_specs(max_order: int | None = None) -> list[GroupSpec]:
-    """All curated specs, ordered by (order, position), optionally capped."""
+def catalog_specs() -> list[GroupSpec]:
+    """All curated specs, ordered by (order, position)."""
     out = []
     for order in sorted(_catalog_table()):
-        if max_order is not None and order > max_order:
-            continue
         out.extend(_catalog_table()[order].specs)
     return out

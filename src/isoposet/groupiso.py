@@ -5,6 +5,10 @@ order/class-size compatible elements of the other, extending each partial
 assignment to the generated subgroup and rejecting on any collision.  A
 successful assignment is re-verified as a bijective homomorphism on every
 element pair before it is returned.  A subgroup is searched in its parent.
+Each side's conjugacy classes come from ``invariants._class_orbits``,
+which gives an abelian side one class per member without walking an
+orbit, so a search and a fingerprint here have no abelian branch of
+their own.
 
 Only classification here, and class labels in ``classposet``, answer
 without a search, where a theorem gives the answer: finite abelian
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .invariants import Fingerprint, _abelian_invariants, _class_orbits, _commute, _invariants
+from .invariants import Fingerprint, _class_orbits, _invariants
 from .limits import DEFAULT_LIMITS, Limits
 from .perm import FiniteGroup
 from .subgroups import Subgroup, SubgroupLattice, _view
@@ -39,7 +43,7 @@ class GroupIso:
 def _element_keys(group: FiniteGroup, members: Sequence[int],
                   classes: list[tuple[int, ...]]) -> dict[int, tuple[int, int]]:
     # (element order, conjugacy class size): both preserved by isomorphisms
-    orders = group._powers_of(members)[0]
+    orders = group._powers[0]
     return {x: (orders[x], len(cls)) for cls in classes for x in cls}
 
 
@@ -177,18 +181,14 @@ def classify_with_data(
     conjugates: dict[int, list[int]] = {}
     for idx, cls in enumerate(lattice.class_of):
         conjugates.setdefault(cls, []).append(idx)
-    # each non-abelian representative's classes are walked once, for its
-    # fingerprint and for every comparison it takes part in
+    # each representative's classes are taken once, for its fingerprint
+    # and for every comparison it takes part in
     walked: dict[int, list[tuple[int, ...]]] = {}
     buckets: dict[Fingerprint, list[list[int]]] = {}
     for orbit in conjugates.values():  # ordered by least member
         rep = lattice.subgroups[orbit[0]]
-        if _commute(group, rep.gens):
-            fp = _abelian_invariants(group, rep.members)
-        else:
-            walked[orbit[0]] = _class_orbits(group, rep.members, rep.gens)
-            fp = _invariants(group, rep.gens, walked[orbit[0]])
-        buckets.setdefault(fp, []).append(orbit)
+        walked[orbit[0]] = _class_orbits(group, rep.members, rep.gens)
+        buckets.setdefault(_invariants(group, rep.gens, walked[orbit[0]]), []).append(orbit)
     out: list[tuple[tuple[int, ...], Fingerprint, int]] = []
     for fp, orbits in buckets.items():
         if fp.abelian:  # one class, by the theorem, under the same cap as a search
@@ -213,7 +213,6 @@ def classify_with_data(
     return out
 
 
-def classify(group: FiniteGroup, lattice: SubgroupLattice, *,
-             limits: Limits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
+def classify(group: FiniteGroup, lattice: SubgroupLattice) -> list[tuple[int, ...]]:
     """Partition of subgroup indices into isomorphism classes."""
-    return [cls[0] for cls in classify_with_data(group, lattice, limits=limits)]
+    return [cls[0] for cls in classify_with_data(group, lattice)]

@@ -54,17 +54,21 @@ def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
 def _class_orbits(parent: FiniteGroup, members: Sequence[int],
                   gens: Sequence[int]) -> list[tuple[int, ...]]:
     """Conjugacy classes of the subgroup ``members`` generated by ``gens``,
-    read in ``parent`` as the orbits of conjugation by ``gens``.  In a
-    subgroup, g^-1 * x * g is the member y with g * y = x * g, so no
-    inverse is read."""
+    read in ``parent``, ordered by least member.  A subgroup whose
+    generators commute pairwise is abelian, so each member is a class of
+    its own and no orbit is walked; this is the one place an abelian
+    subgroup is told apart.  Otherwise the classes are the orbits of
+    conjugation by ``gens``, g^-1 * x * g read as rows[rows[inv[g]][x]][g]."""
+    rows = parent.rows
+    if all(rows[a][b] == rows[b][a] for a, b in itertools.combinations(gens, 2)):
+        return list(zip(members))  # each member a class of its own
     if len(members) == parent.order:  # conjugation by any generating set has the same orbits
         return _orbits(members, parent.conjugation_maps)
-    rows = parent.rows
+    inv = parent._powers[1]
     maps = []
     for g in dict.fromkeys(gens):
-        row = rows[g]
-        solve = {row[y]: y for y in members}  # g * y -> y
-        maps.append({x: solve[rows[x][g]] for x in members})
+        left = rows[inv[g]]
+        maps.append({x: rows[left[x]][g] for x in members})
     return _orbits(members, maps)
 
 
@@ -72,21 +76,14 @@ def derived_subgroup_indices(group: FiniteGroup, gens: Sequence[int]) -> list[in
     """Sorted member indices of [H, H] for the subgroup H generated by ``gens``.
 
     Computed as the normal closure in H of the generator-pair commutators,
-    from one read of the generators' inverses.
+    whose inverses are read from the group's one walk of its powers.
     """
-    inv = group._powers_of(gens)[1]
+    inv = group._powers[1]
     seeds = []
     for a in gens:
         for b in gens:
             seeds.append(group.mult(group.mult(group.mult(inv[a], inv[b]), a), b))
-    return group.normal_closure_indices(seeds, gens, inv)
-
-
-def _commute(parent: FiniteGroup, gens: Sequence[int]) -> bool:
-    """Whether the subgroup generated by ``gens`` is abelian: it is iff its
-    generators commute pairwise."""
-    rows = parent.rows
-    return all(rows[a][b] == rows[b][a] for a, b in itertools.combinations(gens, 2))
+    return group.normal_closure_indices(seeds, gens)
 
 
 def invariants(parent: FiniteGroup, members: Sequence[int],
@@ -95,47 +92,32 @@ def invariants(parent: FiniteGroup, members: Sequence[int],
     ``members`` generated by ``gens``, read in the parent.
 
     It equals the fingerprint of the subgroup realized as a group of its
-    own: an element's order is the same in both.  An abelian subgroup's
-    fingerprint is read off its element orders alone.  Otherwise
-    conjugacy classes are the orbits of conjugation by ``gens``, and the
-    centre is their singletons.
+    own: an element's order is the same in both.  Conjugacy classes are
+    those of :func:`_class_orbits`, and the centre is their singletons.
     """
-    if _commute(parent, gens):
-        return _abelian_invariants(parent, members)
     return _invariants(parent, gens, _class_orbits(parent, members, gens))
-
-
-def _abelian_invariants(parent: FiniteGroup, members: Sequence[int]) -> Fingerprint:
-    """:func:`invariants` of an abelian subgroup: every class is a
-    singleton, so the centre is the whole subgroup, and [H, H] is trivial."""
-    element_orders = parent._powers_of(members)[0]
-    return _fingerprint([element_orders[x] for x in members], (1,) * len(members), 1)
 
 
 def _invariants(parent: FiniteGroup, gens: Sequence[int],
                 classes: list[tuple[int, ...]]) -> Fingerprint:
-    """:func:`invariants` of the subgroup with these conjugacy ``classes``."""
-    members = [x for cls in classes for x in cls]
-    element_orders = parent._powers_of(members)[0]
-    return _fingerprint([element_orders[x] for x in members], tuple(sorted(map(len, classes))),
-                        len(derived_subgroup_indices(parent, gens)))
-
-
-def _fingerprint(orders: list[int], class_sizes: tuple[int, ...],
-                 derived_size: int) -> Fingerprint:
-    """The fingerprint of a group with these element orders, sorted
-    conjugacy class sizes and derived subgroup size."""
+    """:func:`invariants` of the subgroup generated by ``gens`` with these
+    conjugacy ``classes``.  When every class is a singleton the subgroup
+    is abelian and [H, H] is trivial, so no closure is taken."""
+    element_orders = parent._powers[0]
     counts: dict[int, int] = {}
-    for k in orders:
-        counts[k] = counts.get(k, 0) + 1
-    center = class_sizes.count(1)
+    for cls in classes:
+        for x in cls:
+            k = element_orders[x]
+            counts[k] = counts.get(k, 0) + 1
+    class_sizes = tuple(sorted(map(len, classes)))
+    order, center = sum(class_sizes), class_sizes.count(1)
     return Fingerprint(
-        order=len(orders),
-        abelian=center == len(orders),
+        order=order,
+        abelian=center == order,
         exponent=math.lcm(*counts),
         order_histogram=tuple(sorted(counts.items())),
         center_size=center,
-        derived_size=derived_size,
+        derived_size=1 if center == order else len(derived_subgroup_indices(parent, gens)),
         class_sizes=class_sizes,
     )
 

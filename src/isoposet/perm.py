@@ -117,15 +117,13 @@ class _ProductRows:
         return self.index[_product(self.left, self.elements[i].images)]
 
 
-def _power_walk(rows: Sequence[Sequence[int]], n: int,
-                points: Iterable[int] | None = None) -> tuple[tuple[int, ...], ...]:
+def _power_walk(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """(orders, inverses) by index in a group of n elements with these
-    ``rows``, filled at ``points`` and their powers (every element when
-    None) and 0 elsewhere: each point not yet reached walks its powers up
-    to the identity once, and if i has order k, then i^e has order
-    k / gcd(e, k), inverse i^(k-e)."""
+    ``rows``: each element not yet reached walks its powers up to the
+    identity once, and if i has order k, then i^e has order k / gcd(e, k),
+    inverse i^(k-e)."""
     orders, inverses = [0] * n, [0] * n
-    for i in range(n) if points is None else points:
+    for i in range(n):
         if not orders[i]:
             row = rows[i]
             powers = [i]  # powers[m] is i^(m+1), ending at the identity, index 0
@@ -223,16 +221,6 @@ class FiniteGroup:
         """(element orders, inverse indices), from one walk of the powers."""
         return _power_walk(self.rows, self.order)
 
-    def _powers_of(self, points: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
-        """(element orders, inverse indices) by index, read at least at
-        ``points`` and their powers: the group's one walk, unless it has no
-        Cayley table and has not walked yet, when only the powers of
-        ``points`` are walked, one product a step, and nothing is kept."""
-        if (len(points) < self.order and "_powers" not in self.__dict__
-                and isinstance(self.rows, _ProductRows)):
-            return _power_walk(self.rows, self.order, points)
-        return self._powers
-
     def inverse_index(self, i: int) -> int:
         return self._powers[1][i]
 
@@ -258,13 +246,11 @@ class FiniteGroup:
         return tuple([move[self.identity_index] for move in self.moves])
 
     def _generate(self, seed: Iterable[int], stop_above: int | None = None,
-                  conjugators: Sequence[int] = (),
-                  inverses: Sequence[int] | None = None) -> tuple[list[int] | None, list[int]]:
+                  conjugators: Sequence[int] = ()) -> tuple[list[int] | None, list[int]]:
         """(sorted element indices, generators) of the least subgroup that
         contains ``seed`` and is normalized by every element of
         ``conjugators``; the members are None once they exceed
-        ``stop_above``.  ``inverses``, read at the conjugators, are
-        those of :meth:`_powers_of` when the caller has them already.
+        ``stop_above``.
 
         One fold: the seed, then the conjugates of each new generator, are
         taken in turn, and each one not yet inside becomes a generator.
@@ -274,9 +260,7 @@ class FiniteGroup:
         subgroup is normalized once each generator's conjugates lie in it.
         """
         ident, rows = self.identity_index, self.rows
-        if inverses is None and conjugators:
-            inverses = self._powers_of(conjugators)[1]
-        by = [(rows[inverses[c]], c) for c in conjugators]  # c^-1 x c is rows[left[x]][c]
+        by = [(rows[self._powers[1][c]], c) for c in conjugators]  # c^-1 x c is rows[left[x]][c]
         gens: list[int] = []
         members, inside = [ident], {ident}
         queue = list(seed)
@@ -300,12 +284,9 @@ class FiniteGroup:
             queue += [rows[left[x]][c] for left, c in by]
         return members, gens
 
-    def closure_indices(self, seed: Iterable[int],
-                        stop_above: int | None = None) -> list[int] | None:
-        """Sorted element indices of the subgroup generated by ``seed``, or
-        None once it exceeds ``stop_above`` members; by Lagrange any
-        subgroup larger than |G|/2 is G itself."""
-        return self._generate(seed, stop_above)[0]
+    def closure_indices(self, seed: Iterable[int]) -> list[int]:
+        """Sorted element indices of the subgroup generated by ``seed``."""
+        return self._generate(seed)[0]
 
     def join(self, cosets: LeftCosets, gens: Sequence[int], c: int,
              stop_above: int | None = None) -> list[int] | None:
@@ -348,14 +329,11 @@ class FiniteGroup:
         out.sort()
         return out
 
-    def normal_closure_indices(self, seed: Iterable[int], conjugators: Sequence[int],
-                               inverses: Sequence[int] | None = None) -> list[int]:
+    def normal_closure_indices(self, seed: Iterable[int], conjugators: Sequence[int]) -> list[int]:
         """Sorted element indices of the least subgroup that contains
-        ``seed`` and is normalized by every element of ``conjugators``,
-        whose ``inverses`` a caller may pass as :meth:`_generate` takes
-        them.  A closure past half the group is the whole group, by
-        Lagrange."""
-        return (self._generate(seed, self.order // 2, conjugators, inverses)[0]
+        ``seed`` and is normalized by every element of ``conjugators``.  A
+        closure past half the group is the whole group, by Lagrange."""
+        return (self._generate(seed, self.order // 2, conjugators)[0]
                 or list(range(self.order)))
 
     def greedy_generator_indices(self, members: Sequence[int]) -> tuple[int, ...]:

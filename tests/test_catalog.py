@@ -119,10 +119,12 @@ def test_frobenius21_sits_inside_psl27(psl27_lattice):
 
 
 def test_semidirect_cyclic_rejects_wrong_order():
-    with pytest.raises(ValueError):
-        semidirect_cyclic(7, 3, 3)  # 3 has order 6 mod 7
-    with pytest.raises(ValueError):
-        semidirect_cyclic(9, 2, 3)  # 3 not invertible mod 9
+    # no unit mod 7 has order 4 (they form a cyclic group of order 6), and
+    # every unit mod 8 has order at most 2
+    with pytest.raises(ValueError, match="no multiplier has order 4 mod 7"):
+        semidirect_cyclic(7, 4)
+    with pytest.raises(ValueError, match="no multiplier has order 4 mod 8"):
+        semidirect_cyclic(8, 4)
 
 
 def test_direct_product_order_and_degree():

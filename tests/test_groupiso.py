@@ -27,11 +27,11 @@ from isoposet import (
     symmetric,
 )
 from isoposet import groupiso, perm
+import isoposet.invariants as invariants_module
 from isoposet.catalog import catalog_specs
 from isoposet.groupiso import _is_isomorphism, classify_with_data
 from isoposet.invariants import (
     _class_orbits,
-    _commute,
     _invariants,
     conjugacy_classes,
     invariants,
@@ -41,6 +41,7 @@ from isoposet.subgroups import Subgroup
 from oracles import (
     oracle_classify,
     oracle_element_classes,
+    oracle_fingerprint,
     oracle_group_isomorphic,
     oracle_inverse,
     oracle_order,
@@ -117,7 +118,7 @@ def _class_representatives(lattice):
 
 
 def test_invariants_in_the_parent_equal_the_realized_fingerprint(cache_dir):
-    for spec in catalog_specs(max_order=168):
+    for spec in catalog_specs():
         group = spec.build()
         for sub in _class_representatives(all_subgroups(group, cache_dir=cache_dir)):
             assert invariants(group, sub.members, sub.gens) == fingerprint(sub.as_group()), \
@@ -125,7 +126,7 @@ def test_invariants_in_the_parent_equal_the_realized_fingerprint(cache_dir):
 
 
 def test_conjugacy_classes_match_bruteforce_oracle():
-    groups = [spec.build() for spec in catalog_specs(max_order=168)]
+    groups = [spec.build() for spec in catalog_specs()]
     groups.append(tableless(symmetric(4)))
     for group in groups:
         assert conjugacy_classes(group) == oracle_element_classes(group), group.name
@@ -364,13 +365,18 @@ def test_classify_matches_the_pairwise_oracle_without_a_table(build):
 
 def _classes_by_order_alone(monkeypatch, group, lattice):
     """The partition classify gives when every abelian representative's
-    fingerprint keeps only its order: a mutant that merges abelian
-    buckets by order alone."""
-    def order_only(parent, members):
-        return Fingerprint(len(members), True, 0, (), len(members), 1, ())
+    fingerprint keeps only its order: a mutant of the one fingerprint
+    dispatch, which sees an abelian representative as classes that are
+    all singletons, and merges abelian buckets by order alone."""
+    walked_fingerprint = groupiso._invariants
+
+    def order_only(parent, gens, classes):
+        if any(len(cls) > 1 for cls in classes):
+            return walked_fingerprint(parent, gens, classes)
+        return Fingerprint(len(classes), True, 0, (), len(classes), 1, ())
 
     with monkeypatch.context() as patch:
-        patch.setattr(groupiso, "_abelian_invariants", order_only)
+        patch.setattr(groupiso, "_invariants", order_only)
         classes = classify_with_data(group, lattice)
     return sorted(members for members, _, _ in classes)
 
@@ -389,20 +395,40 @@ def test_the_pairwise_oracle_refuses_abelian_classes_merged_by_order(monkeypatch
 
 def test_abelian_fingerprints_by_formula_equal_the_walked_ones(psl25, psl27, sl25, cache_dir):
     # every abelian subgroup of the 53 catalog lattices and of the paper's
-    # five groups: the formula reads element orders only; the walk takes
-    # conjugacy classes and the derived subgroup's normal closure
+    # five groups, told apart here by every pair of members commuting: the
+    # formula gives each member a class of its own and takes no closure;
+    # the oracle conjugates by every member and closes every commutator
     groups = [spec.build() for spec in catalog_specs()]
     groups += [psl25, psl27, sl25, group_from_name("S5"), group_from_name("A5xZ2")]
     checked = 0
     for group in groups:
         for sub in all_subgroups(group, cache_dir=cache_dir).subgroups:
-            if not _commute(group, sub.gens):
+            if not all(group.mult(x, y) == group.mult(y, x)
+                       for x in sub.members for y in sub.members):
                 continue
-            walked = _invariants(group, sub.gens, _class_orbits(group, sub.members, sub.gens))
-            assert walked.abelian, (group.name, sub.members)
-            assert invariants(group, sub.members, sub.gens) == walked, (group.name, sub.members)
+            assert _class_orbits(group, sub.members, sub.gens) == [(x,) for x in sub.members]
+            assert invariants(group, sub.members, sub.gens) == \
+                oracle_fingerprint(group, sub.members), (group.name, sub.members)
             checked += 1
     assert checked == 1360
+
+
+def test_find_isomorphism_between_abelian_sides_walks_no_orbit(call_counter):
+    # an abelian side's classes are its members, one each, so neither the
+    # fingerprints nor the search keys walk an orbit; the search still
+    # runs, and its witness passes the full check.  Z6 against Z2xZ3, and
+    # S4's normal V4 against a V4 of the other class, read in their parent
+    s4 = symmetric(4)
+    v4s = [subgroup_generated_by(s4, [s4.index_of(Permutation.from_cycles(4, *c)) for c in gens])
+           for gens in ([[(0, 1), (2, 3)], [(0, 2), (1, 3)]], [[(0, 1)], [(2, 3)]])]
+    assert [v4.order for v4 in v4s] == [4, 4]
+    pairs = [(cyclic(6), _cyclic_product([2, 3])), tuple(v4s)]
+    walks = call_counter(invariants_module, "_orbits")
+    for g, h in pairs:
+        iso = find_isomorphism(g, h)
+        assert iso is not None
+        assert _is_isomorphism(g, h, iso.mapping)
+    assert walks["_orbits"] == 0
 
 
 def _elementary_divisors(factors):
@@ -484,12 +510,12 @@ def test_classify_work_over_the_catalog(cache_dir, call_counter):
     # theorem)
     lattices = [(group, all_subgroups(group, cache_dir=cache_dir))
                 for group in (spec.build() for spec in catalog_specs())]
-    walks = call_counter(groupiso, "_class_orbits")
+    walks = call_counter(invariants_module, "_orbits")
     searches = call_counter(groupiso, "_search_isomorphism")
     for group, lattice in lattices:
         classify_with_data(group, lattice)
     assert sum(len(set(lattice.class_of)) for _, lattice in lattices) == 497
-    assert walks["_class_orbits"] == 114
+    assert walks["_orbits"] == 114
     assert searches["_search_isomorphism"] == 19
 
 
@@ -522,10 +548,9 @@ def test_classify_walks_each_representatives_classes_once(psl27, psl27_lattice, 
     # the classes walked for a representative's fingerprint also key its
     # isomorphism searches.  7 of PSL(2,7)'s 15 representatives are abelian
     # (orders 1, 2, 3, 7 and the cyclic 4 and two classes of V4), whose
-    # fingerprints are read off their element orders with no walk, so 8
+    # classes are their members, one each, with no orbit walked, so 8
     # walks for the other 8
-    walks = call_counter(groupiso, "_class_orbits",
-                         key=lambda parent, members, gens: tuple(members))
+    walks = call_counter(invariants_module, "_orbits", key=lambda points, maps: tuple(points))
     classify_with_data(psl27, psl27_lattice)
     assert sum(walks.values()) == 8
     assert len(walks) == 8

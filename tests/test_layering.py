@@ -11,7 +11,11 @@ a few named ones.  ``FiniteGroup.join`` has exactly two callers: the fold
 greedy generators all grow, and ``subgroups._enumerate_subgroups``.
 Only classification and class labels decide isomorphism without a
 search, by the theorem on abelian groups; every isomorphism that
-``find_isomorphism`` returns is re-checked by ``_is_isomorphism``."""
+``find_isomorphism`` returns is re-checked by ``_is_isomorphism``.
+Element orders and inverses come from one walk per group: ``_power_walk``
+has exactly one caller, ``FiniteGroup._powers``.  A ``Fingerprint`` is
+built only in ``invariants._invariants``, from the classes of
+``_class_orbits``, the one place an abelian subgroup is told apart."""
 
 import ast
 import dataclasses
@@ -303,6 +307,24 @@ def _calls(node: ast.AST, name: str) -> bool:
             and node.func.id == name)
 
 
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module, enclosing ``Class.function`` or function) of every call of
+    the plain name ``name`` in the library."""
+    callers = set()
+
+    def visit(node: ast.AST, stem: str, scope: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if _calls(node, name):
+            callers.add((stem, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, stem, scope)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text("utf-8")), path.stem, "<module>")
+    return callers
+
+
 def test_every_isomorphism_found_is_checked():
     # find_isomorphism answers None or the search's result, the search
     # builds the only GroupIso, and the statement before it raises unless
@@ -313,15 +335,21 @@ def test_every_isomorphism_found_is_checked():
     assert returns and all(
         (isinstance(value, ast.Constant) and value.value is None)
         or _calls(value, "_search_isomorphism") for value in returns)
-    built = {(p.stem, function) for p in MODULES
-             for node in ast.walk(ast.parse(p.read_text("utf-8")))
-             if isinstance(node, ast.FunctionDef)
-             for function in [node.name]
-             for sub in ast.walk(node) if _calls(sub, "GroupIso")}
-    assert built == {("groupiso", "_search_isomorphism")}
+    assert _callers("GroupIso") == {("groupiso", "_search_isomorphism")}
     body = _function(tree, "_search_isomorphism").body
     last, check = body[-1], body[-2]
     assert isinstance(last, ast.Return) and _calls(last.value, "GroupIso")
     assert (isinstance(check, ast.If) and isinstance(check.test, ast.UnaryOp)
             and isinstance(check.test.op, ast.Not) and _calls(check.test.operand, "_is_isomorphism")
             and isinstance(check.body[0], ast.Raise))
+
+
+def test_only_the_cached_powers_walk_the_powers():
+    # one walk per group, kept: no partial walk reads a few elements' orders
+    assert _callers("_power_walk") == {("perm", "FiniteGroup._powers")}
+
+
+def test_only_invariants_builds_a_fingerprint():
+    # every fingerprint is read off the classes of _class_orbits, which
+    # alone tells an abelian subgroup apart
+    assert _callers("Fingerprint") == {("invariants", "_invariants")}

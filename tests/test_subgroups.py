@@ -108,7 +108,7 @@ def test_enumeration_matches_bruteforce_oracle(build):
 
 
 def test_subgroup_gens_generate_members():
-    for spec in catalog_specs(168):
+    for spec in catalog_specs():
         group = spec.build()
         for sub in all_subgroups(group).subgroups:
             assert oracle_closure(group, sub.gens) == frozenset(sub.members), spec.name
@@ -178,18 +178,17 @@ def test_as_group_without_parent_table_orders_only_its_elements(call_counter):
 
 def test_invariants_without_parent_table_walk_the_parent_powers_once(call_counter):
     # the left A5 and the diagonal of A5xA5 fingerprinted in their
-    # tableless parent, which has not walked its 3600 elements: each walks
-    # the powers of its 60 members once for their orders, and of its 2
-    # generators once, for the commutators and for the normal closure
-    # that gives the derived subgroup; no walk covers the parent
+    # tableless parent, which has not walked its 3600 elements: the first
+    # view walks the parent's powers once, one product a step, and keeps
+    # them; the second view's orders, commutators and normal closure read
+    # the same walk
     product, diagonal, left = _a5_squared_copies()
     expected = fingerprint(alternating(5))
-    walks = call_counter(perm, "_power_walk",
-                         key=lambda rows, n, points=None: n if points is None else len(points))
+    walks = call_counter(perm, "_power_walk", key=lambda rows, n: n)
     assert invariants(product, left.members, left.gens) == expected
     assert invariants(product, diagonal.members, diagonal.gens) == expected
-    assert walks == {60: 2, 2: 2}
-    assert "_powers" not in vars(product)
+    assert walks == {3600: 1}
+    assert "_powers" in vars(product)
 
 
 def test_enumeration_work_count_psl27(call_counter):
@@ -326,7 +325,7 @@ def test_growth_by_joins_matches_the_closure_oracle(case):
     group, seed, conjugators, stop = case
     closed = oracle_closure(group, seed)
     expected = None if stop is not None and len(closed) > stop else sorted(closed)
-    assert group.closure_indices(seed, stop_above=stop) == expected
+    assert group._generate(seed, stop)[0] == expected
     normal = closed
     while not (conjugates := {group.conjugate_index(x, c)
                               for x in normal for c in conjugators}) <= normal:
@@ -395,7 +394,7 @@ def test_containment_is_a_partial_order(a5_lattice):
 def test_containment_matches_pairwise_oracle(tmp_path, call_counter):
     # containment read from generators equals every pairwise mask test, on
     # lattices enumerated and on the same lattices loaded from the cache
-    specs = catalog_specs(max_order=168)
+    specs = catalog_specs()
     assert {"PSL(2,7)", "S5", "SL(2,5)", "A5xZ2"} <= {spec.name for spec in specs}
     enumerations = call_counter(subgroups, "_enumerate_subgroups")
     for spec in specs:
@@ -611,7 +610,7 @@ def _generating_tuples(group, k):
     n, half = group.order, group.order // 2
 
     def generates(seed):
-        members = group.closure_indices(seed, stop_above=half)
+        members = group._generate(seed, half)[0]
         return members is None or len(members) == n
 
     if k == 1:
