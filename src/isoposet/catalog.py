@@ -178,34 +178,24 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, limits: Limits = DEFAULT_L
     """Direct product acting on the disjoint union of the two point sets.
 
     Equal to ``closure`` of each factor's generators padded with the other
-    factor's identity, element for element and in its Cayley table, but
-    walked over the integer keys x*|h| + y of the pairs (g's element x,
-    h's element y): a generator's step is one list read, built from its
+    factor's identity, element for element and in its moves, but walked
+    over the integer keys x*|h| + y of the pairs (g's element x, h's
+    element y): a generator's step is one list read, built from its
     factor's generator moves, and an element is its factors' images
-    joined, so the walk makes no permutation product.
+    joined, so the walk makes no permutation product, and neither factor
+    builds its Cayley table.
     """
     if name is None and g.name and h.name:
         name = f"{g.name}x{h.name}"
-    degree = g.degree + h.degree
-    limits.check(name or "product", element_cap=g.order * h.order, degree_cap=degree)
-    id_h = tuple(range(g.degree, degree))
-    id_g = tuple(range(g.degree))
-    gens = [Permutation(p.images + id_h) for p in g.generators]
-    gens += [Permutation(id_g + tuple(x + g.degree for x in p.images)) for p in h.generators]
-    keys, table, moves = closure_walk(0, _product_steps(g, h), _step, limits=limits)
+    shift = g.degree  # h's points follow g's
+    limits.check(name or "product", element_cap=g.order * h.order, degree_cap=shift + h.degree)
+    keys, moves = closure_walk(0, _product_steps(g, h), _step, limits=limits)
     left = [p.images for p in g.elements]
-    right = [tuple([x + g.degree for x in p.images]) for p in h.elements]
+    right = [tuple([x + shift for x in p.images]) for p in h.elements]
     n = h.order
     elements = tuple([_unchecked(left[key // n] + right[key % n]) for key in keys])
     del keys  # drops the key ints before the group builds its index
-    return FiniteGroup(
-        degree=degree,
-        generators=tuple(gens),
-        elements=elements,
-        cayley_table=table,
-        moves=moves,
-        name=name,
-    )
+    return FiniteGroup(elements, moves, name)
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,15 @@ import sys
 from collections import Counter
 from dataclasses import asdict, replace
 
-from .catalog import group_from_name
-from .classposet import build_iso_poset, maximal_nontop_classes
+from .classposet import maximal_nontop_classes
 from .export import poset_dot, report_dict, to_json
 from .limits import DEFAULT_LIMITS, Limits, ResourceLimitError
-from .poset import canonical_hash, find_poset_isomorphism
-from .subgroups import all_subgroups
+from .poset import canonical_hash
 from .verify import (
     REFUTED,
     SKIPPED,
+    _matched,
+    _Run,
     scan,
     verify_all,
     verify_lemma,
@@ -99,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_group(args) -> int:
-    group = group_from_name(args.spec, limits=args.caps)
+    run = _Run(args.caps, args.cache_dir)
+    group = run.group(args.spec)
     if args.action == "info":
         if args.format == "json":
             print(to_json(report_dict(group=group)), end="")
@@ -107,7 +108,7 @@ def _cmd_group(args) -> int:
             print(f"{group.name}: order {group.order}, degree {group.degree}, "
                   f"{len(group.generators)} generators")
         return 0
-    lattice = all_subgroups(group, limits=args.caps, cache_dir=args.cache_dir)
+    lattice = run.lattice(args.spec)
     if args.action == "subgroups":
         counts = Counter(s.order for s in lattice.subgroups)
         if args.format == "json":
@@ -119,7 +120,7 @@ def _cmd_group(args) -> int:
             for order in sorted(counts):
                 print(f"  order {order}: {counts[order]}")
         return 0
-    iso = build_iso_poset(group, lattice=lattice, limits=args.caps)
+    iso = run.poset(args.spec)
     digest = canonical_hash(iso.to_poset(), limits=args.caps)
     if args.format == "dot":
         print(poset_dot(iso), end="")
@@ -137,21 +138,15 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_poset_iso(args) -> int:
-    group_a = group_from_name(args.spec_a, limits=args.caps)
-    group_b = group_from_name(args.spec_b, limits=args.caps)
-    poset_a, poset_b = [
-        build_iso_poset(group, lattice=all_subgroups(group, limits=args.caps,
-                                                     cache_dir=args.cache_dir),
-                        limits=args.caps, recognize=False)
-        for group in (group_a, group_b)]
-    witness = find_poset_isomorphism(poset_a.to_poset(), poset_b.to_poset(),
-                                     limits=args.caps)
+    run = _Run(args.caps, args.cache_dir, (args.spec_a, args.spec_b))
+    names = [run.group(spec).name for spec in run.pair]  # both built before either lattice
+    poset_a, poset_b, witness = _matched(run)
     digests = [canonical_hash(poset_a.to_poset(), limits=args.caps),
                canonical_hash(poset_b.to_poset(), limits=args.caps)]
     if args.format == "json":
         payload = report_dict(
             poset_iso={
-                "groups": [group_a.name, group_b.name],
+                "groups": names,
                 "isomorphic": witness is not None,
                 "witness": list(witness) if witness else None,
                 "digests": digests,
@@ -160,7 +155,7 @@ def _cmd_poset_iso(args) -> int:
         print(to_json(payload), end="")
     else:
         verdict = "isomorphic" if witness is not None else "not isomorphic"
-        print(f"{group_a.name} vs {group_b.name}: posets {verdict}")
+        print(f"{names[0]} vs {names[1]}: posets {verdict}")
         if witness is not None:
             print(f"  witness: {list(witness)}")
         print(f"  digests: {digests[0][:16]} / {digests[1][:16]}")

@@ -27,7 +27,8 @@ class Limits:
     :meth:`check` is the only code that raises a cap error.  Its message
     reads ``"<subject> has more than <cap> <unit> (<cap name> <cap>)"``,
     for example ``"Z11 has more than 10 points (degree cap 10)"``.  Which
-    groups keep a Cayley table is no cap: ``perm.TABLE_ORDER`` decides it.
+    groups build a Cayley table is no cap: ``FiniteGroup.rows`` decides
+    it by ``perm.TABLE_ORDER``.
     """
 
     element_cap: int = 10_000

@@ -1,5 +1,9 @@
 """Permutations on finite point sets and closure-enumerated finite groups.
 
+A group is its elements, in the breadth-first order of its closure walk,
+and its generator moves; its degree, generators and Cayley table are read
+off those, the table on first read.
+
 Multiplication convention, fixed project-wide: ``rows[i][j]`` of a group is
 the index of elements[i] * elements[j], which applies elements[i] first,
 then elements[j], so it maps x to elements[j](elements[i](x)).  Cayley
@@ -17,7 +21,7 @@ from typing import Callable, ClassVar, Hashable, Iterable, Sequence
 
 from .limits import DEFAULT_LIMITS, Limits
 
-TABLE_ORDER = 512  # the largest order whose Cayley table a closure keeps
+TABLE_ORDER = 512  # the largest order whose rows are a Cayley table
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,24 +166,22 @@ class LeftCosets:
 class FiniteGroup:
     """A finite permutation group with every element enumerated.
 
-    Elements sit in deterministic BFS discovery order: the identity at
-    index 0, then the generators applied in input order.  Every group
-    keeps ``moves``, right multiplication by each generator as an index
-    map (``moves[k][a]`` is the index of elements[a] * generators[k]),
-    which its closure walk computes anyway; unless its order is past
-    ``TABLE_ORDER`` it also keeps the Cayley table, whose generator
-    columns are the same maps; every product is read through :attr:`rows`,
-    which tells the two kinds apart.  Instances are immutable and all
-    operations on them are pure, so groups can be shared freely across
-    threads.  Construct through :func:`closure` or the catalog module.
+    A group is its ``elements`` and its ``moves``, and everything else is
+    read off them.  Elements sit in deterministic BFS discovery order: the
+    identity at index 0, then the generators applied in input order.
+    ``moves[k]`` is right multiplication by generator k as an index map
+    (``moves[k][a]`` is the index of elements[a] * generators[k]), which
+    the closure walk computes anyway, so generator k is
+    elements[moves[k][0]].  Every product is read through :attr:`rows`,
+    which builds the Cayley table from the moves on first read.
+    Instances are immutable and all operations on them are pure, so
+    groups can be shared freely across threads.  Construct through
+    :func:`closure` or the catalog module.
     """
 
     identity_index: ClassVar[int] = 0
 
-    degree: int
-    generators: tuple[Permutation, ...]
     elements: tuple[Permutation, ...]
-    cayley_table: tuple[tuple[int, ...], ...] | None
     moves: tuple[tuple[int, ...], ...]
     name: str | None = None
 
@@ -188,6 +190,14 @@ class FiniteGroup:
         if len(index) != len(self.elements):
             raise ValueError("duplicate elements")
         object.__setattr__(self, "_index", index)
+
+    @property
+    def degree(self) -> int:
+        return self.elements[self.identity_index].degree
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        return tuple([self.elements[g] for g in self.generator_indices()])
 
     @property
     def order(self) -> int:
@@ -206,11 +216,28 @@ class FiniteGroup:
     @cached_property
     def rows(self) -> Sequence[Sequence[int]]:
         """``rows[i][j]`` is the index of elements[i] * elements[j]
-        (elements[i] applied first): the Cayley table, or past
-        ``TABLE_ORDER`` a read-only view of the permutation products."""
-        if self.cayley_table is not None:
-            return self.cayley_table
-        return _ProductRows(self.elements, self._index)
+        (elements[i] applied first): the Cayley table, built on first
+        read, or past ``TABLE_ORDER`` a read-only view of the permutation
+        products.  This is the one place that picks the representation.
+
+        The table is built by the column method, which relies on the
+        breadth-first element order that every constructor gives: each
+        element c other than the identity was first reached as c = a*g
+        from an earlier element a and a generator g, so x*c = (x*a)*g and
+        column c is column a read through g's move.  So the table takes no
+        permutation product.
+        """
+        n = self.order
+        if n > TABLE_ORDER:
+            return _ProductRows(self.elements, self._index)
+        columns: list[tuple[int, ...] | None] = [None] * n
+        columns[0] = tuple(range(n))
+        for a, column in enumerate(columns):  # column a is built before a is read
+            for move in self.moves:
+                c = move[a]
+                if columns[c] is None:
+                    columns[c] = itemgetter(*column)(move)
+        return tuple(zip(*columns))
 
     def mult(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (elements[i] applied first)."""
@@ -354,26 +381,19 @@ class FiniteGroup:
 def closure_walk(identity: Hashable, gens: Iterable[Hashable],
                  mul: Callable[[Hashable, Hashable], Hashable], *,
                  limits: Limits = DEFAULT_LIMITS, subject: str = "closure",
-                 ) -> tuple[list, tuple[tuple[int, ...], ...] | None, tuple[tuple[int, ...], ...]]:
+                 ) -> tuple[list, tuple[tuple[int, ...], ...]]:
     """Breadth-first closure of ``gens`` under ``mul``: its keys in
-    discovery order, its Cayley table, and its generator moves.
+    discovery order, and its generator moves.
 
     Elements are any hashable keys: ``mul(a, b)`` is the key of a times
-    the generator b.  Discovery order starts at ``identity`` and applies
-    the generators in input order, so equal inputs give equal orderings,
-    and keys that stand one-to-one for permutations give the order that
+    the generator b, and ``moves[k][a]`` is the index of key a times
+    generator k.  Discovery order starts at ``identity`` and applies the
+    generators in input order, so equal inputs give equal orderings, and
+    keys that stand one-to-one for permutations give the order that
     :func:`closure` gives those permutations.  ``gens`` may be an
     iterator, so that the walk holds the only reference to each generator
     and drops it on return.  Past ``element_cap`` it raises, naming
     ``subject``.
-
-    The Cayley table is built from columns already built: each element c
-    other than the identity was first reached as c = a*g from an earlier
-    element a and a generator g, so x*c = (x*a)*g and column c is column a
-    read through g's right-multiplication map.  The walk already took
-    those products, so the table takes no ``mul`` call of its own.  The
-    maps themselves are returned as the moves; past ``TABLE_ORDER`` the
-    table is None.
     """
     gens = list(gens)
     cap = limits.element_cap
@@ -393,18 +413,7 @@ def closure_walk(identity: Hashable, gens: Iterable[Hashable],
             record(ci)
     for k, move in enumerate(right):  # one list at a time, so no two copies
         right[k] = tuple(move)
-    moves = tuple(right)
-    n = len(elems)
-    if n > TABLE_ORDER:
-        return elems, None, moves
-    columns: list[tuple[int, ...] | None] = [None] * n
-    columns[0] = tuple(range(n))
-    for a, column in enumerate(columns):  # column a is built before a is read
-        for move in moves:
-            c = move[a]
-            if columns[c] is None:
-                columns[c] = itemgetter(*column)(move)
-    return elems, tuple(zip(*columns)), moves
+    return elems, tuple(right)
 
 
 def closure(
@@ -419,9 +428,10 @@ def closure(
     Discovery order is breadth-first from the identity with generators
     applied in input order, so two runs with identical inputs produce
     identical element orderings.  A degree past ``degree_cap`` is refused
-    before the walk.  No Cayley table is kept past ``TABLE_ORDER``.
-    Every element is a product of the checked generators, so its image
-    tuple is taken as a bijection without a second check.
+    before the walk.  The group keeps the walk's elements and moves, and
+    builds its Cayley table only when its rows are read.  Every element
+    is a product of the checked generators, so its image tuple is taken
+    as a bijection without a second check.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -430,13 +440,6 @@ def closure(
             raise ValueError(f"generator degree {g.degree} does not match {degree}")
     subject = name or "closure"
     limits.check(subject, degree_cap=degree)
-    elems, table, moves = closure_walk(tuple(range(degree)), [g.images for g in generators],
-                                       _product, limits=limits, subject=subject)
-    return FiniteGroup(
-        degree=degree,
-        generators=tuple(generators),
-        elements=tuple(map(_unchecked, elems)),
-        cayley_table=table,
-        moves=moves,
-        name=name,
-    )
+    elems, moves = closure_walk(tuple(range(degree)), [g.images for g in generators],
+                                _product, limits=limits, subject=subject)
+    return FiniteGroup(tuple(map(_unchecked, elems)), moves, name)

@@ -73,8 +73,8 @@ class _Run:
 
     A group is given by name, or as a ``FiniteGroup`` that is used as it
     is.  A ``ResourceLimitError`` is kept like a result, and the same
-    instance is raised again to every later caller.  ``pair`` names the
-    two groups of the lemma's claims.
+    instance is raised again to every later caller, with a fresh
+    traceback.  ``pair`` names the two groups of the lemma's claims.
     """
 
     def __init__(self, limits: Limits, cache_dir: str | os.PathLike | None,
@@ -93,7 +93,7 @@ class _Run:
                 self._kept[key] = exc
         found = self._kept[key]
         if isinstance(found, ResourceLimitError):
-            raise found
+            raise found.with_traceback(None)  # else every raise adds frames the run keeps alive
         return found
 
     def group(self, group: FiniteGroup | str) -> FiniteGroup:

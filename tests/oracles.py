@@ -8,8 +8,10 @@ enumerates all node bijections, the subgroup oracle closes every small
 element subset, the conjugacy oracles conjugate by every element, the
 containment oracle tests every pair of member sets, the coset oracle
 multiplies every subgroup member by every element, the product oracle
-closes the padded generators as permutations, and the Eulerian oracle
-sums Moebius values up the lattice's containment masks.
+closes the padded generators as permutations, the Eulerian oracle
+sums Moebius values up the lattice's containment masks, and the marks
+oracle counts the left cosets that each subgroup fixes through ``mult``
+alone and checks each count against the lattice's containment masks.
 The fingerprint oracle orders every member by its cycles, conjugates by
 every member and closes every commutator.  The classification oracle is
 an exception: it runs the library's own isomorphism search on every pair
@@ -48,13 +50,17 @@ from isoposet import (
     normal_subgroups,
     refine,
 )
+from isoposet.perm import _ProductRows
 from isoposet.poset import _individualize
 
 
 def tableless(group: FiniteGroup) -> FiniteGroup:
-    """The same group, with the same elements and moves, but no Cayley
-    table: its ``rows`` reads every product off the permutations."""
-    return dataclasses.replace(group, cayley_table=None)
+    """A copy of the group, with the same elements and moves, whose
+    ``rows`` is the permutation view at any order, so it never builds a
+    Cayley table: it reads every product off the permutations."""
+    copy = dataclasses.replace(group)
+    copy.__dict__["rows"] = _ProductRows(copy.elements, copy._index)
+    return copy
 
 
 def oracle_identity(degree: int) -> Permutation:
@@ -434,3 +440,55 @@ def oracle_enumeration(group: FiniteGroup) -> list[list[tuple[tuple[int, ...], t
     if full not in known:
         add(full, group.generator_indices())
     return orbits
+
+
+def oracle_marks(lattice) -> list[list[int]]:
+    """Burnside's table of marks of the lattice's group, one row and one
+    column per conjugacy class of subgroups, in class order: the mark of
+    H at K is the number of left cosets xH that K fixes, for H and K the
+    first subgroups of their classes.
+
+    Each mark is found two ways that share no code.  On the coset action,
+    through ``mult`` alone: the cosets xH are labelled, and K fixes xH iff
+    k*x lies in xH for every generator k of K.  On the lattice: the mark
+    is |G| / (|H| * |class of H|) times the number of H's conjugates over
+    K, read off ``supersets`` at every member of K's class, which must
+    all agree.  Asserts that the two ways agree, and that the pointwise
+    product of any two rows is a sum of rows with non-negative integer
+    coefficients, as it is the marks of a product of two G-sets.
+    """
+    group, subs, n = lattice.parent, lattice.subgroups, lattice.parent.order
+    bits: dict[int, int] = {}  # each class's subgroups as a mask
+    for i, c in enumerate(lattice.class_of):
+        bits[c] = bits.get(c, 0) | 1 << i
+    classes = sorted(bits, key=lambda c: bits[c] & -bits[c])  # by first member
+    firsts = [(bits[c] & -bits[c]).bit_length() - 1 for c in classes]
+    position = {c: p for p, c in enumerate(classes)}
+    table = []
+    for h, first in zip(classes, firsts):
+        members = subs[first].members
+        label = [-1] * n
+        reps: list[int] = []
+        for x in range(n):
+            if label[x] < 0:
+                for y in members:
+                    label[group.mult(x, y)] = len(reps)
+                reps.append(x)
+        row = [sum(all(label[group.mult(k, x)] == label[x] for k in subs[kfirst].gens)
+                   for x in reps) for kfirst in firsts]
+        size = bits[h].bit_count()
+        for j, k in enumerate(lattice.class_of):
+            over = (lattice.supersets[j] & bits[h]).bit_count()
+            assert row[position[k]] * len(members) * size == n * over, (group.name, first, j)
+        table.append(row)
+    for a, b in itertools.combinations_with_replacement(table, 2):
+        product = [x * y for x, y in zip(a, b)]
+        coefficients = [0] * len(table)
+        for k in reversed(range(len(table))):  # row c is 0 at every later class
+            rest = product[k] - sum(c * table[c_k][k] for c_k, c in enumerate(coefficients))
+            count, left = divmod(rest, table[k][k])
+            assert left == 0 and count >= 0, (group.name, a, b)
+            coefficients[k] = count
+        assert product == [sum(c * row[k] for c, row in zip(coefficients, table))
+                           for k in range(len(table))], (group.name, a, b)
+    return table

@@ -12,6 +12,7 @@ from isoposet import (
     alternating,
     are_isomorphic,
     build_iso_poset,
+    catalog,
     catalog_for_order,
     closure,
     composition_factors,
@@ -141,7 +142,9 @@ def test_direct_product_with_trivial():
 def _assert_same_product(product, expected):
     assert product.generators == expected.generators
     assert product.elements == expected.elements
-    assert product.cayley_table == expected.cayley_table
+    assert type(product.rows) is type(expected.rows)
+    if isinstance(product.rows, tuple):  # else both are the permutation view
+        assert product.rows == expected.rows
     assert product.moves == expected.moves
     assert product.name == expected.name
 
@@ -154,6 +157,23 @@ def test_catalog_product_equals_closure(spec):
     built = spec.build()
     assert built.name == spec.name
     assert built.elements == direct_product(left, right).elements
+
+
+def test_product_factors_build_no_table(monkeypatch):
+    # a product walks its factors' moves and joins their elements' images,
+    # so no factor builds a Cayley table
+    factors = []
+    original = catalog.direct_product
+
+    def recording(g, h, **kwargs):
+        factors.extend([g, h])
+        return original(g, h, **kwargs)
+
+    monkeypatch.setattr(catalog, "direct_product", recording)
+    for name in ("A5xZ2", "A5xA5"):
+        group_from_name(name)
+    assert [factor.name for factor in factors] == ["A5", "Z2", "A5", "A5"]
+    assert not any("rows" in factor.__dict__ for factor in factors)
 
 
 def _repeated_identity_z3():
@@ -177,7 +197,7 @@ def test_direct_product_equals_closure(build):
     left, right = build()
     product = direct_product(left, right)
     _assert_same_product(product, oracle_direct_product(left, right))
-    assert (product.cayley_table is None) == (product.order > TABLE_ORDER)
+    assert (not isinstance(product.rows, tuple)) == (product.order > TABLE_ORDER)
 
 
 def test_moves_are_the_table_columns():
@@ -194,8 +214,8 @@ def test_moves_are_the_table_columns():
         gens = group.generator_indices()
         assert gens == tuple(group.index_of(p) for p in group.generators)
         assert len(group.moves) == len(group.generators)
-        if group.cayley_table is not None:
-            assert group.moves == tuple(tuple(row[g] for row in group.cayley_table)
+        if isinstance(group.rows, tuple):
+            assert group.moves == tuple(tuple(row[g] for row in group.rows)
                                         for g in gens)
         else:  # A5xA5
             for move, g in zip(group.moves, gens):

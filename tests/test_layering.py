@@ -1,7 +1,9 @@
-"""Layering: only ``FiniteGroup.rows`` chooses between a group with a
-Cayley table and one without; every other function reads products
-through it.  Subgroups are read in their parent: only the remark rebuilds
-one as a group of its own.  Only ``Limits.check`` raises a cap error, and
+"""Layering: a ``FiniteGroup`` is built from its elements, moves and
+name alone, and its degree, generators and Cayley table are read off
+them.  Only ``FiniteGroup.rows`` reads ``TABLE_ORDER``: it alone chooses
+between a Cayley table and the permutation view, and every other function
+reads products through it.  Subgroups are read in their parent: only the
+remark rebuilds one as a group of its own.  Only ``Limits.check`` raises a cap error, and
 every field of ``Limits`` is a cap that refuses work.
 Only two process-wide tables are ``functools`` memos; a verify run keeps
 its own groups, lattices and class posets.
@@ -20,49 +22,28 @@ built only in ``invariants._invariants``, from the classes of
 import ast
 import dataclasses
 from pathlib import Path
+from typing import Callable
 
 import isoposet
-from isoposet import Limits, limits
+from isoposet import FiniteGroup, Limits, limits
 
 MODULES = sorted(Path(isoposet.__file__).parent.glob("*.py"))
 BENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
-# (module, enclosing function) outside perm: the keyword that hands a
-# product its table
-ALLOWED = {("catalog", "direct_product")}
+
+def test_a_group_is_its_elements_and_moves():
+    # degree, generators and the Cayley table are read off these fields
+    assert [field.name for field in dataclasses.fields(FiniteGroup)] == [
+        "elements", "moves", "name"]
 
 
-def _cayley_table_uses(path: Path) -> set[tuple[str, str, str]]:
-    """(module, enclosing function, "read" or "keyword") of every
-    ``.cayley_table`` read and ``cayley_table=`` keyword in the module at
-    ``path``."""
-    uses = set()
+def test_only_rows_reads_the_table_order():
+    # rows alone picks between a Cayley table and the permutation view
+    def reads(node: ast.AST) -> bool:
+        return (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                and getattr(node, "id", getattr(node, "attr", None)) == "TABLE_ORDER")
 
-    def visit(node: ast.AST, function: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "cayley_table":
-            uses.add((path.stem, function, "read"))
-        if isinstance(node, ast.keyword) and node.arg == "cayley_table":
-            uses.add((path.stem, function, "keyword"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(path.read_text("utf-8")), "<module>")
-    return uses
-
-
-def test_only_perm_reads_the_cayley_table():
-    assert {p.stem for p in MODULES} >= {"perm", "catalog", "groupiso", "subgroups"}
-    found = set().union(*(_cayley_table_uses(p) for p in MODULES if p.stem != "perm"))
-    assert {(module, function) for module, function, _ in found} == ALLOWED
-
-
-def test_inside_perm_only_rows_reads_the_cayley_table():
-    # the constructors that pass ``cayley_table=`` stay allowed
-    uses = _cayley_table_uses(next(p for p in MODULES if p.stem == "perm"))
-    assert {function for _, function, kind in uses if kind == "read"} == {"rows"}
-    assert {function for _, function, kind in uses if kind == "keyword"} == {"closure"}
+    assert _scopes(reads) == {("perm", "FiniteGroup.rows")}
 
 
 def _as_group_calls(path: Path) -> set[tuple[str, str]]:
@@ -307,22 +288,27 @@ def _calls(node: ast.AST, name: str) -> bool:
             and node.func.id == name)
 
 
-def _callers(name: str) -> set[tuple[str, str]]:
-    """(module, enclosing ``Class.function`` or function) of every call of
-    the plain name ``name`` in the library."""
-    callers = set()
+def _scopes(found: Callable[[ast.AST], bool]) -> set[tuple[str, str]]:
+    """(module, enclosing ``Class.function`` or function) of every node of
+    the library that ``found`` accepts."""
+    scopes = set()
 
     def visit(node: ast.AST, stem: str, scope: str) -> None:
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
-        if _calls(node, name):
-            callers.add((stem, scope))
+        if found(node):
+            scopes.add((stem, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, stem, scope)
 
     for path in MODULES:
         visit(ast.parse(path.read_text("utf-8")), path.stem, "<module>")
-    return callers
+    return scopes
+
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    """Where the plain name ``name`` is called in the library."""
+    return _scopes(lambda node: _calls(node, name))
 
 
 def test_every_isomorphism_found_is_checked():

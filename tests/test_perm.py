@@ -97,7 +97,7 @@ def test_products_on_one_point():
     one = oracle_identity(1)
     g = closure(1, [one, one])
     assert g.elements == (one,)
-    assert g.cayley_table == ((0,),)
+    assert g.rows == ((0,),)
 
 
 def test_closure_a5_order():
@@ -128,10 +128,10 @@ def test_closure_idempotent_on_closed_set():
 
 def test_cayley_table_cap():
     g = tableless(closure(3, [perm((0, 1, 2), degree=3)]))
-    assert g.cayley_table is None
+    assert not isinstance(g.rows, tuple)
     assert g.mult(1, 2) == g.identity_index  # falls back to composing images
     with_table = cyclic(3)
-    assert with_table.cayley_table is not None
+    assert isinstance(with_table.rows, tuple)
     assert [with_table.mult(i, j) for i in range(3) for j in range(3)] == [
         g.mult(i, j) for i in range(3) for j in range(3)
     ]
@@ -139,8 +139,8 @@ def test_cayley_table_cap():
 
 def _assert_table_matches_compose(group):
     els = group.elements
-    assert group.cayley_table is not None
-    for i, row in enumerate(group.cayley_table):
+    assert isinstance(group.rows, tuple)
+    for i, row in enumerate(group.rows):
         expected = [group.index_of(oracle_compose(els[i], b)) for b in els]
         assert list(row) == expected, (group.name, i)
 
@@ -154,10 +154,10 @@ def test_cayley_table_matches_compose_on_catalog():
 def test_no_table_past_table_order():
     # a group keeps its table up to TABLE_ORDER and no further; past it,
     # rows reads each product off the permutations
-    assert cyclic(TABLE_ORDER).cayley_table is not None
-    assert cyclic(TABLE_ORDER + 1).cayley_table is None
+    assert isinstance(cyclic(TABLE_ORDER).rows, tuple)
+    assert not isinstance(cyclic(TABLE_ORDER + 1).rows, tuple)
     s6 = symmetric(6)
-    assert s6.order == 720 > TABLE_ORDER and s6.cayley_table is None
+    assert s6.order == 720 > TABLE_ORDER and not isinstance(s6.rows, tuple)
     els = s6.elements
     for i in range(0, 720, 7):
         for j in range(i % 11, 720, 61):
@@ -195,7 +195,7 @@ def test_a5_element_order_histogram():
 def test_element_orders_from_table_match_permutation_orders():
     groups = [spec.build() for spec in catalog_specs()]
     for g in groups + [psl2(7), sl2_5()]:
-        assert g.cayley_table is not None
+        assert isinstance(g.rows, tuple)
         assert g.element_orders == tuple(map(oracle_order, g.elements)), g.name
 
 
@@ -219,7 +219,7 @@ def closures(draw):
     n = draw(st.integers(min_value=1, max_value=5))
     gens = draw(st.lists(permutations(degree=n), min_size=1, max_size=3))
     tabled = closure(n, gens)
-    assert tabled.cayley_table is not None
+    assert isinstance(tabled.rows, tuple)
     index = st.integers(min_value=0, max_value=tabled.order - 1)
     return (tabled, tableless(tabled)), [draw(index) for _ in range(3)]
 
@@ -246,7 +246,7 @@ def test_inverse_cancels(case):
 def test_inverse_correct_on_whole_groups(psl27_lattice):
     untabled = tableless(symmetric(4))
     realized = next(s for s in psl27_lattice.subgroups if s.order == 24).as_group()
-    assert realized.cayley_table is not None
+    assert isinstance(realized.rows, tuple)
     for g in (symmetric(4), dihedral(10), cyclic(12), untabled, realized):
         for i in range(g.order):
             j = g.inverse_index(i)
@@ -257,8 +257,7 @@ def test_inverse_correct_on_whole_groups(psl27_lattice):
 def test_finite_group_rejects_repeated_elements():
     c = perm((0, 1, 2), degree=3)
     with pytest.raises(ValueError, match="duplicate elements"):
-        FiniteGroup(degree=3, generators=(c,), elements=(oracle_identity(3), c, c),
-                    cayley_table=None, moves=((1, 2, 0),))
+        FiniteGroup(elements=(oracle_identity(3), c, c), moves=((1, 2, 0),))
 
 
 def test_closure_tolerates_duplicate_generators():

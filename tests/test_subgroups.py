@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from collections import Counter
@@ -53,6 +54,7 @@ from oracles import (
     oracle_containment,
     oracle_enumeration,
     oracle_eulerian,
+    oracle_marks,
     oracle_moebius,
     oracle_right_cosets,
     oracle_subgroups,
@@ -131,7 +133,7 @@ def _a5_squared_copies():
 def _assert_same_group(realized, closed):
     assert realized.elements == closed.elements
     assert realized.generators == closed.generators
-    assert realized.cayley_table == closed.cayley_table
+    assert realized.rows == closed.rows
     assert realized.element_orders == closed.element_orders
     assert ([realized.inverse_index(i) for i in range(realized.order)]
             == [closed.inverse_index(i) for i in range(closed.order)])
@@ -145,7 +147,7 @@ def test_as_group_equals_closure(cache_dir):
             closed = closure(group.degree, [group.elements[g] for g in sub.gens])
             _assert_same_group(sub.as_group(), closed)
     product, diagonal, left = _a5_squared_copies()
-    assert product.cayley_table is None
+    assert not isinstance(product.rows, tuple)
     for sub in (diagonal, left):
         _assert_same_group(sub.as_group(),
                            closure(product.degree, [product.elements[g] for g in sub.gens]))
@@ -434,7 +436,7 @@ def _table_and_no_table_groups():
     """Eight groups with their Cayley tables, and the same eight without."""
     groups = [cyclic(12), symmetric(4), alternating(4), dihedral(12), dicyclic(3),
               alternating(5), group_from_name("A5xZ2"), group_from_name("D10xS3")]
-    assert all(group.cayley_table is not None for group in groups)
+    assert all(isinstance(group.rows, tuple) for group in groups)
     return groups, [tableless(group) for group in groups]
 
 
@@ -532,7 +534,7 @@ def test_right_cosets_match_oracle(name, table):
 
 def test_a5_squared_diagonal_maximal_and_copy_not():
     product, diagonal, left = _a5_squared_copies()
-    assert product.cayley_table is None
+    assert not isinstance(product.rows, tuple)
     assert is_maximal(product, diagonal)
     assert not is_maximal(product, left)
 
@@ -637,6 +639,42 @@ def test_eulerian_values_of_a5(a5_lattice):
     assert oracle_moebius(a5_lattice)[0] == -60
     assert oracle_eulerian(a5_lattice, 2) == 2280 == 19 * 120
     assert oracle_eulerian(a5_lattice, 1) == 0
+
+
+def test_table_of_marks_agrees_with_the_coset_action(tmp_path, call_counter):
+    # every mark counted on the coset action equals the mark read off the
+    # lattice, and rows multiply integrally, on lattices enumerated and on
+    # the same lattices loaded from the cache; A5xA5 is left out, as its
+    # coset action takes seconds
+    names = dict.fromkeys([spec.name for spec in catalog_specs()]
+                          + ["PSL(2,5)", "PSL(2,7)", "SL(2,5)", "S5", "A5xZ2"])
+    enumerations = call_counter(subgroups, "_enumerate_subgroups")
+    for name in names:
+        group = group_from_name(name)
+        cold, warm = (all_subgroups(group, cache_dir=tmp_path) for _ in range(2))
+        assert oracle_marks(cold) == oracle_marks(warm), name
+    assert enumerations["_enumerate_subgroups"] == len(names)  # each loaded once
+
+
+def test_marks_oracle_catches_a_broken_lattice():
+    # a superset bit cleared at a class's first subgroup, or two classes
+    # of one order merged, breaks the marks read off the lattice
+    assert oracle_marks(all_subgroups(cyclic(3))) == [[3, 0], [1, 1]]
+    for name in ("S4", "PSL(2,7)", "D8"):
+        lattice = all_subgroups(group_from_name(name))
+        oracle_marks(lattice)
+        orders = [sub.order for sub in lattice.subgroups]
+        j = lattice.class_of.index(lattice.class_of[-1] // 2)  # a middle class's first
+        above = lattice.supersets[j] & ~(1 << j)
+        supersets = list(lattice.supersets)
+        supersets[j] ^= above & -above
+        a, b = next((lattice.class_of[i], lattice.class_of[i + 1]) for i in range(len(orders) - 1)
+                    if orders[i] == orders[i + 1] and lattice.class_of[i] != lattice.class_of[i + 1])
+        merged = tuple(a if c == b else c for c in lattice.class_of)
+        for broken in (dataclasses.replace(lattice, supersets=tuple(supersets)),
+                       dataclasses.replace(lattice, class_of=merged)):
+            with pytest.raises(AssertionError):
+                oracle_marks(broken)
 
 
 def test_every_group_cyclic_matches_table():

@@ -8,6 +8,7 @@ import pytest
 
 from isoposet import (
     Limits,
+    ResourceLimitError,
     build_iso_poset,
     catalog_for_order,
     classposet,
@@ -279,6 +280,23 @@ def test_a_group_past_the_element_cap_is_walked_once(call_counter):
     for claim in claims:
         name = "S5" if claim.claim_id in trio else "PSL(2,7)"
         assert claim.reason == f"{name} has more than 100 elements (element cap 100)"
+
+
+def test_a_kept_cap_error_is_raised_with_a_fresh_traceback():
+    # every request gets the same instance, and no request's frames stay
+    # on its traceback for the next one to keep alive
+    run = verify._Run(Limits(enum_cap=10), None)
+    raised, depths = [], []
+    for _ in range(5):
+        with pytest.raises(ResourceLimitError) as info:
+            run.lattice("A5")
+        tb, depth = info.value.__traceback__, 0
+        while tb is not None:
+            tb, depth = tb.tb_next, depth + 1
+        raised.append(info.value)
+        depths.append(depth)
+    assert all(exc is raised[0] for exc in raised)
+    assert depths == depths[:1] * 5
 
 
 def test_verify_all_is_the_four_suites_in_order(cache_dir):
